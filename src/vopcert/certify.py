@@ -14,9 +14,9 @@ exactly; a mismatch raises ConsistencyError because it can only be a bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .cones import (
     ConeHRep, cone_is_trivial, dd_generators_from_halfspaces,
@@ -27,17 +27,20 @@ from .errors import (
     InstanceFormatError,
 )
 from .funcs import (
-    CONVEX, NOT_CONVEX, PieceFn, Selection, eval_components,
-    full_dim_selections, kconvexity_check,
+    CONVEX, NOT_CONVEX, PieceFn, Selection, _all_affine,
+    clarke_subdiff_component, eval_components, full_dim_selections,
+    kconvexity_check,
 )
 from .geometry import (
     ConicBlockSet, DISCRETIZATION_NOTE, DiscretizedSet, FeasibleSet,
-    OrderingCone, PolyhedralSet, conic_support, cones_coincide_check, feasible_contains,
-    g1_cone, g2_cone, tangent_cone,
+    G2Result, NormalCone, OrderingCone, PolyhedralSet, TangentCone,
+    cones_coincide, feasible_contains, g1_cone, g2_cone, polar_normal,
+    tangent_cone,
 )
 from .linprog import INFEASIBLE, OPTIMAL, le, lp_solve
 from .rationals import (
-    Q0, Q1, Vec, dedup_rows, is_zero_vec, vadd, vdot, vscale, vsub, zeros,
+    Mat, Q0, Q1, Vec, dedup_rows, is_zero_vec, vadd, vdot, vscale, vsub,
+    zeros,
 )
 
 ROBUST_CERTIFIED = "RobustCertified"
@@ -107,6 +110,9 @@ class Verdict:
     oracle_referral: bool
     witness: Optional[Vec] = None
     stamps: Tuple[str, ...] = ()
+    # the cones the verdict was decided on, reused by report_document
+    _analysis: Optional[_Analysis] = field(default=None, compare=False,
+                                           repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +151,6 @@ def polyhedral_reduction(omega: FeasibleSet) -> Optional[Tuple[Tuple[Vec, ...], 
 
 # ---------------------------------------------------------------------------
 # exact efficiency decision
-
-def _all_affine(components) -> bool:
-    return all(fn.is_affine() for fn in components)
-
 
 def _verify_domination(inst: VOPInstance, xbar: Vec, y: Vec) -> bool:
     if not feasible_contains(inst.feasible, y):
@@ -254,87 +256,80 @@ def _trivial(rows, dim) -> Tuple[bool, Optional[Vec]]:
     return cone_is_trivial(ConeHRep(dim, dedup_rows(rows)))
 
 
-def _span_form_verdict(rows, dim) -> bool:
+def _span_form(rows, dim, trivial: bool, branch: str):
     """Dual route: the sum of the generated cone and nothing else fills space
     iff the polar (rows as halfspaces) is trivial; decided after a full
-    double-description round trip so it is a genuinely independent path."""
-    polar = ConeHRep(dim, dedup_rows(rows))
-    gens = dd_generators_from_halfspaces(polar)
-    back = dd_halfspaces_from_generators(gens)
-    trivial, _ = cone_is_trivial(back)
-    return trivial
+    double-description round trip so it is a genuinely independent path,
+    and it must agree with the intersection form. Returns (verdict, note),
+    the note set when double description is out of reach."""
+    try:
+        gens = dd_generators_from_halfspaces(ConeHRep(dim, dedup_rows(rows)))
+        span_ok, _ = cone_is_trivial(dd_halfspaces_from_generators(gens))
+    except CapabilityError as exc:
+        return None, f"capability: {exc}"
+    if span_ok != trivial:
+        raise ConsistencyError(f"intersection and span forms disagree ({branch})")
+    return span_ok, None
 
 
 @dataclass(frozen=True)
-class _Context:
-    tangent_rows: Tuple[Vec, ...]
-    tangent_exact: bool
-    tangent_note: Optional[str]
+class _Analysis:
+    """The local cones of one (instance, candidate) pair, built once and read
+    by the conditions, the hypotheses, reports and describe."""
+
+    inst: VOPInstance
+    xbar: Vec
+    tangent: TangentCone
+    normal: NormalCone
+    subdiffs: Tuple[Mat, ...]      # gradient vertices per component
     g1: ConeHRep
-    g2_rows: Tuple[Vec, ...]
-    g2_exact: bool
-    gate_ok: Optional[bool]     # None when no conic block involved
+    g2: G2Result
+    tangent_exact: bool            # exactness the conditions rely on
     stamps: Tuple[str, ...]
 
 
-def _build_context(inst: VOPInstance, xbar: Vec) -> _Context:
-    stamps = []
-    gate_ok = None
-    if isinstance(inst.feasible, ConicBlockSet):
-        sup = conic_support(inst.feasible, xbar)
-        gate_ok = not sup.zero_in_subdiff
-        t = tangent_cone(inst.feasible, xbar)
-        t_rows, t_exact, t_note = t.cone.rows, t.exact, t.note
-        if not sup.exact:
-            t_exact = False
-    else:
-        t = tangent_cone(inst.feasible, xbar)
-        t_rows, t_exact, t_note = t.cone.rows, t.exact, t.note
-    if isinstance(inst.feasible, DiscretizedSet):
-        # the sampled family is handled exactly as the polyhedron it is;
-        # the whole verdict carries the discretization stamp instead
-        stamps.append(DISCRETIZATION_NOTE)
-        t_exact = True
-    g1 = g1_cone(inst.objectives, inst.cone, xbar)
-    g2 = g2_cone(inst.objectives, inst.cone, xbar)
-    return _Context(t_rows, t_exact, t_note, g1, g2.hrep.rows, g2.exact,
-                    gate_ok, tuple(stamps))
+def _analyze(inst: VOPInstance, xbar: Vec) -> _Analysis:
+    tangent = tangent_cone(inst.feasible, xbar)
+    # the sampled family is handled exactly as the polyhedron it is;
+    # the whole verdict carries the discretization stamp instead
+    sampled = isinstance(inst.feasible, DiscretizedSet)
+    return _Analysis(
+        inst, xbar, tangent, polar_normal(tangent),
+        tuple(clarke_subdiff_component(fn, xbar).vertices
+              for fn in inst.objectives),
+        g1_cone(inst.objectives, inst.cone, xbar),
+        g2_cone(inst.objectives, inst.cone, xbar),
+        tangent.exact or sampled, (DISCRETIZATION_NOTE,) if sampled else ())
 
 
-def _necessary_reports(inst: VOPInstance, ctx: _Context, n: int):
-    rows = ctx.g1.rows + ctx.tangent_rows
-    trivial, witness = _trivial(rows, n)
-    if isinstance(inst.feasible, ConicBlockSet) and ctx.gate_ok is False:
+def _necessary_reports(a: _Analysis):
+    if a.tangent.gate is False:
         # surrogate tangent not valid: the branch is reported, not decided
-        inter = ConditionReport(NECESSARY_INTERSECTION, None, exact=False,
-                                note="conic gate failed; necessary branch skipped")
-        span = ConditionReport(NECESSARY_SPAN, None, exact=False,
-                               note="conic gate failed; necessary branch skipped")
-        return inter, span
+        note = "conic gate failed; necessary branch skipped"
+        return (ConditionReport(NECESSARY_INTERSECTION, None, exact=False, note=note),
+                ConditionReport(NECESSARY_SPAN, None, exact=False, note=note))
+    n = a.inst.n
+    rows = a.g1.rows + a.tangent.cone.rows
+    trivial, witness = _trivial(rows, n)
     if trivial:
         inter = ConditionReport(NECESSARY_INTERSECTION, True,
-                                exact=ctx.tangent_exact, note=ctx.tangent_note)
+                                exact=a.tangent_exact, note=a.tangent.note)
     else:
-        assert not is_zero_vec(witness)
-        assert all(vdot(r, witness) <= 0 for r in rows)
+        if is_zero_vec(witness) or any(vdot(r, witness) > 0 for r in rows):
+            raise ConsistencyError("necessary witness failed substitution")
         inter = ConditionReport(NECESSARY_INTERSECTION, False, witness)
-    try:
-        span_ok = _span_form_verdict(rows, n)
-    except CapabilityError as exc:
-        return inter, ConditionReport(NECESSARY_SPAN, None, exact=False,
-                                      note=f"capability: {exc}")
-    if span_ok != trivial:
-        raise ConsistencyError("intersection and span forms disagree (necessary)")
-    span = ConditionReport(NECESSARY_SPAN, span_ok,
-                           None if span_ok else witness)
-    return inter, span
+    span_ok, note = _span_form(rows, n, trivial, "necessary")
+    if note:
+        return inter, ConditionReport(NECESSARY_SPAN, None, exact=False, note=note)
+    return inter, ConditionReport(NECESSARY_SPAN, span_ok,
+                                  None if span_ok else witness)
 
 
-def _sufficient_reports(inst: VOPInstance, ctx: _Context, n: int,
-                        hypotheses_ok: Optional[bool]):
-    rows = tuple(ctx.g2_rows) + ctx.tangent_rows
+def _sufficient_reports(a: _Analysis, hypotheses_ok: Optional[bool]):
+    n = a.inst.n
+    rows = a.g2.hrep.rows + a.tangent.cone.rows
     trivial, witness = _trivial(rows, n)
-    exact = ctx.g2_exact and ctx.tangent_exact
+    exact = a.g2.exact and a.tangent_exact
     if trivial and hypotheses_ok and exact:
         inter = ConditionReport(SUFFICIENT_INTERSECTION, True)
     elif not trivial:
@@ -346,13 +341,9 @@ def _sufficient_reports(inst: VOPInstance, ctx: _Context, n: int,
             "cones not exact"
         inter = ConditionReport(SUFFICIENT_INTERSECTION, None, exact=exact,
                                 note=why)
-    try:
-        span_ok = _span_form_verdict(rows, n)
-    except CapabilityError as exc:
-        return inter, ConditionReport(SUFFICIENT_SPAN, None, exact=False,
-                                      note=f"capability: {exc}")
-    if span_ok != trivial:
-        raise ConsistencyError("intersection and span forms disagree (sufficient)")
+    span_ok, note = _span_form(rows, n, trivial, "sufficient")
+    if note:
+        return inter, ConditionReport(SUFFICIENT_SPAN, None, exact=False, note=note)
     if inter.holds is None:
         span = ConditionReport(SUFFICIENT_SPAN, None, exact=exact, note=inter.note)
     else:
@@ -362,46 +353,46 @@ def _sufficient_reports(inst: VOPInstance, ctx: _Context, n: int,
 
 
 def check_necessary_intersection(inst: VOPInstance, xbar: Vec) -> ConditionReport:
-    ctx = _build_context(inst, xbar)
-    inter, _ = _necessary_reports(inst, ctx, inst.n)
+    inter, _ = _necessary_reports(_analyze(inst, xbar))
     return inter
 
 
 def check_sufficient_intersection(inst: VOPInstance, xbar: Vec) -> ConditionReport:
-    ctx = _build_context(inst, xbar)
-    hyp = _hypotheses(inst, xbar, ctx)
-    ok = hyp["feasible-set-convex"] is True and hyp["objective-cone-convex"] is True
-    inter, _ = _sufficient_reports(inst, ctx, inst.n, ok)
+    a = _analyze(inst, xbar)
+    inter, _ = _sufficient_reports(a, _hypotheses_ok(_hypotheses(a)))
     return inter
 
 
 def check_span_forms(inst: VOPInstance, xbar: Vec):
-    ctx = _build_context(inst, xbar)
-    hyp = _hypotheses(inst, xbar, ctx)
-    ok = hyp["feasible-set-convex"] is True and hyp["objective-cone-convex"] is True
-    _, nspan = _necessary_reports(inst, ctx, inst.n)
-    _, sspan = _sufficient_reports(inst, ctx, inst.n, ok)
+    a = _analyze(inst, xbar)
+    ok = _hypotheses_ok(_hypotheses(a))
+    _, nspan = _necessary_reports(a)
+    _, sspan = _sufficient_reports(a, ok)
     return nspan, sspan
 
 
-def _hypotheses(inst: VOPInstance, xbar: Vec, ctx: _Context):
+_CONVEXITY = {CONVEX: True, NOT_CONVEX: False}   # anything else: unknown
+
+
+def _hypotheses(a: _Analysis):
+    inst = a.inst
+    omega_convex = True  # explicit halfspace systems are convex
     if isinstance(inst.feasible, ConicBlockSet):
-        conv = kconvexity_check(inst.feasible.g,
-                                inst.feasible.q_cone.dual_neg_gens.generators,
-                                inst.n)
-        omega_convex = True if conv.status == CONVEX else (
-            False if conv.status == NOT_CONVEX else None)
-    else:
-        omega_convex = True  # explicit halfspace systems are convex
+        omega_convex = _CONVEXITY.get(kconvexity_check(
+            inst.feasible.g, inst.feasible.q_cone.dual_neg_gens.generators,
+            inst.n).status)
     kconv = kconvexity_check(inst.objectives,
                              inst.cone.dual_neg_gens.generators, inst.n)
-    f_convex = True if kconv.status == CONVEX else (
-        False if kconv.status == NOT_CONVEX else None)
     return {
         "feasible-set-convex": omega_convex,
-        "objective-cone-convex": f_convex,
-        CONES_COINCIDE: cones_coincide_check(inst.objectives, inst.cone, xbar),
+        "objective-cone-convex": _CONVEXITY.get(kconv.status),
+        CONES_COINCIDE: cones_coincide(a.g1, a.g2),
     }
+
+
+def _hypotheses_ok(hyp) -> bool:
+    return (hyp["feasible-set-convex"] is True
+            and hyp["objective-cone-convex"] is True)
 
 
 def certify(inst: VOPInstance, xbar: Vec) -> Verdict:
@@ -409,32 +400,31 @@ def certify(inst: VOPInstance, xbar: Vec) -> Verdict:
     sufficiency, otherwise Inconclusive with an oracle referral."""
     if not feasible_contains(inst.feasible, xbar):
         raise InfeasiblePointError("candidate point is infeasible")
-    n = inst.n
-    ctx = _build_context(inst, xbar)
-    hyp = _hypotheses(inst, xbar, ctx)
+    a = _analyze(inst, xbar)
+    hyp = _hypotheses(a)
     reports = []
-    if ctx.gate_ok is not None:
+    gate = a.tangent.gate
+    if gate is not None:
         reports.append(ConditionReport(
-            CONIC_GATE, ctx.gate_ok,
-            note=None if ctx.gate_ok else
+            CONIC_GATE, gate,
+            note=None if gate else
             "0 in the support scalarization subdifferential"))
     if isinstance(inst.feasible, DiscretizedSet):
         reports.append(ConditionReport(DISCRETIZED, True, exact=False,
                                        note=DISCRETIZATION_NOTE))
-    inter_nec, span_nec = _necessary_reports(inst, ctx, n)
-    hyp_ok = (hyp["feasible-set-convex"] is True
-              and hyp["objective-cone-convex"] is True)
-    inter_suf, span_suf = _sufficient_reports(inst, ctx, n, hyp_ok)
+    inter_nec, span_nec = _necessary_reports(a)
+    inter_suf, span_suf = _sufficient_reports(a, _hypotheses_ok(hyp))
     reports += [inter_nec, span_nec, inter_suf, span_suf]
     reports.append(ConditionReport(CONES_COINCIDE, hyp[CONES_COINCIDE]))
     reports = tuple(sorted(reports, key=lambda r: r.condition))
 
     if inter_nec.holds is False:
         # weaker condition failing forces the stronger one to fail too
-        assert inter_suf.holds is False
+        if inter_suf.holds is not False:
+            raise ConsistencyError("necessary condition fails, sufficient does not")
         return Verdict(NOT_ROBUST_CERTIFIED, NECESSARY_INTERSECTION, hyp,
-                       reports, False, inter_nec.witness, ctx.stamps)
+                       reports, False, inter_nec.witness, a.stamps, a)
     if inter_suf.holds is True:
         return Verdict(ROBUST_CERTIFIED, SUFFICIENT_INTERSECTION, hyp,
-                       reports, False, None, ctx.stamps)
-    return Verdict(INCONCLUSIVE, None, hyp, reports, True, None, ctx.stamps)
+                       reports, False, None, a.stamps, a)
+    return Verdict(INCONCLUSIVE, None, hyp, reports, True, None, a.stamps, a)

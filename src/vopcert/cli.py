@@ -1,7 +1,8 @@
 """Command dispatch: certify, oracle, radius, gap, describe, verify-report.
 
 Exit codes make verdicts shell-scriptable: 0 certified robust, 1 refuted,
-2 inconclusive; 64 usage, 65 parse or validation, 70 capability limit.
+2 inconclusive; 64 usage, 65 parse or validation, 70 capability limit or
+internal error.
 """
 
 import argparse
@@ -14,14 +15,15 @@ from .certify import (
     INCONCLUSIVE, NOT_ROBUST_CERTIFIED, ROBUST_CERTIFIED, Verdict, certify,
 )
 from .errors import (
-    CapabilityError, ConeValidationError, InfeasiblePointError,
-    InstanceFormatError,
+    CapabilityError, ConeValidationError, ConsistencyError,
+    InfeasiblePointError, InstanceFormatError,
 )
 from .gapfn import gap_necessary_check
 from .instances import (
     ParsedInstance, cone_data, describe_document, encode, oracle_document,
     parse_instance, report_document, verify_report,
 )
+from .linprog import LpInternalError
 from .oracle import radius_estimate, robust_oracle
 from .rationals import RationalParseError, format_rational, parse_rational
 
@@ -265,9 +267,12 @@ def main(argv=None) -> int:
             RationalParseError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except (ConsistencyError, LpInternalError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_CAPABILITY
 
 
 if __name__ == "__main__":

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import CapabilityError
+from .errors import CapabilityError, ConsistencyError
 from .linprog import eq, feasible_point, le, lp_solve, OPTIMAL
 from .rationals import (
     Mat, Q0, Q1, Vec, dedup_rows, invert, is_zero_vec, matrix_rank,
-    nullspace_basis, primitive, unit, vdot, vneg, vscale,
+    nullspace_basis, primitive, unit, vdot, vneg,
 )
 
 DD_DIMENSION_CAP = 6
@@ -179,7 +179,8 @@ def hrep_subset(inner: ConeHRep, outer: ConeHRep) -> Tuple[bool, Optional[Vec]]:
         rels.append(le(vneg(ej), Q1))
     for row in dedup_rows(outer.rows):
         res = lp_solve(row, rels)
-        assert res.status == OPTIMAL  # boxed and contains 0
+        if res.status != OPTIMAL:  # boxed and contains 0
+            raise ConsistencyError("boxed subset probe is not optimal")
         if res.value > 0:
             return False, res.x
     return True, None

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
+from .errors import ConsistencyError
 from .linprog import OPTIMAL, eq, le, lp_solve, feasible_point
 from .rationals import (
     Mat, Q0, Q1, Vec, is_zero_vec, mat_vec, psd_witness, unit,
@@ -190,7 +191,8 @@ def _interiority(rows, n, box_center=None):
             rels.append(le(ej, box_center[j] + 1))
             rels.append(le(vneg(ej), 1 - box_center[j]))
     res = lp_solve(tcol, rels)
-    assert res.status == OPTIMAL
+    if res.status != OPTIMAL:  # t <= 1 bounds the slack, and t can go down
+        raise ConsistencyError("interiority program is not optimal")
     if res.value <= 0:
         return None
     return res.value, res.x[:n]

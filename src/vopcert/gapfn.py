@@ -16,7 +16,10 @@ from typing import Optional, Sequence, Tuple
 
 from .certify import ConditionReport, VOPInstance, efficiency_check, polyhedral_reduction
 from .cones import ConeHRep, dd_generators_from_halfspaces
-from .errors import CapabilityError, InfeasiblePointError, InstanceFormatError
+from .errors import (
+    CapabilityError, ConsistencyError, InfeasiblePointError,
+    InstanceFormatError,
+)
 from .funcs import (
     AffinePiece, CONVEX, PieceFn, SMOOTH, SubdiffPolytope,
     clarke_subdiff_component, full_dim_selections, kconvexity_check,
@@ -25,7 +28,7 @@ from .funcs import (
 )
 from .geometry import FeasibleSet, OrderingCone, PolyhedralSet, feasible_contains
 from .linprog import UNBOUNDED, eq, feasible_point, le, lp_solve
-from .rationals import Vec, unit, vadd, vdot, vscale, vsub, zeros
+from .rationals import Vec, unit, vadd, vdot, vscale, zeros
 
 GAP_NECESSARY = "gap-necessary"
 
@@ -72,20 +75,6 @@ class Face:
 EfficientFaceList = Tuple[Face, ...]
 
 
-def _reduced_polytope(omega: FeasibleSet, n: int):
-    reduced = polyhedral_reduction(omega)
-    if reduced is None:
-        raise CapabilityError("gap machinery needs a polyhedral feasible set")
-    rows, rhs = reduced
-    rels = [le(row, b) for row, b in zip(rows, rhs)]
-    for i in range(n):
-        for sense in ("max", "min"):
-            res = lp_solve(unit(n, i), rels, sense=sense)
-            if res.status == UNBOUNDED:
-                raise CapabilityError("gap machinery needs a bounded polytope")
-    return rows, rhs
-
-
 def polytope_vertices(rows, rhs, n: int) -> Tuple[Vec, ...]:
     """Vertex set via double description of the homogenization cone."""
     hom_rows = [tuple(row) + (-b,) for row, b in zip(rows, rhs)]
@@ -96,8 +85,7 @@ def polytope_vertices(rows, rhs, n: int) -> Tuple[Vec, ...]:
         t = g[n]
         if t == 0:
             # boundedness was established by LPs, so no recession directions
-            assert all(c == 0 for c in g[:n])
-            continue
+            raise ConsistencyError("bounded polytope has a recession direction")
         verts.append(tuple(c / t for c in g[:n]))
     return tuple(sorted(set(verts)))
 
@@ -131,33 +119,77 @@ def enumerate_faces(rows, rhs, n: int) -> Tuple[Face, ...]:
     return tuple(seen.values())
 
 
-def _linear_instance(columns: Sequence[Vec], rows, rhs,
-                     cone: OrderingCone) -> VOPInstance:
-    # max xi^T(x - y) over y is decided through its minimization mirror
-    # y -> xi^T y; the constant xi^T x never moves the efficient set
-    comps = tuple(PieceFn(SMOOTH, (AffinePiece(tuple(col), Fraction(0)),))
-                  for col in columns)
-    return VOPInstance(comps, PolyhedralSet(tuple(rows), tuple(rhs)),
-                       cone, len(columns[0]))
+class _GapPolytope:
+    """The bounded polytope of a gap check with what every matrix reuses.
+
+    Faces are enumerated on first use, so a check settled at the base point
+    never meets the face-enumeration caps.
+    """
+
+    def __init__(self, omega: FeasibleSet, n: int):
+        reduced = polyhedral_reduction(omega)
+        if reduced is None:
+            raise CapabilityError("gap machinery needs a polyhedral feasible set")
+        self.rows, self.rhs = reduced
+        self.n = n
+        rels = [le(row, b) for row, b in zip(self.rows, self.rhs)]
+        for i in range(n):
+            for sign in (1, -1):
+                if lp_solve(unit(n, i, sign), rels).status == UNBOUNDED:
+                    raise CapabilityError("gap machinery needs a bounded polytope")
+        self._faces = None
+        self._regions = None
+
+    def faces(self) -> Tuple[Face, ...]:
+        if self._faces is None:
+            self._faces = enumerate_faces(self.rows, self.rhs, self.n)
+        return self._faces
+
+    def linear_instance(self, columns: Sequence[Vec], cone: OrderingCone):
+        """The linear problem of one matrix and its selection regions.
+
+        max xi^T(x - y) over y is decided through its minimization mirror
+        y -> xi^T y; the constant xi^T x never moves the efficient set.
+        Each component is one affine piece, so the one region is the whole
+        space whatever the columns.
+        """
+        comps = tuple(PieceFn(SMOOTH, (AffinePiece(tuple(col), Fraction(0)),))
+                      for col in columns)
+        inst = VOPInstance(comps, PolyhedralSet(tuple(self.rows),
+                                                tuple(self.rhs)),
+                           cone, len(columns[0]))
+        if self._regions is None:
+            self._regions = full_dim_selections(comps, self.n)
+        return inst, self._regions
+
+    def efficient_faces(self, inst: VOPInstance, regions) -> EfficientFaceList:
+        # efficiency is constant on the relative interior of a face, so the
+        # vertex barycenter decides for the whole face
+        return tuple(face for face in self.faces()
+                     if efficiency_check(inst, face.barycenter(),
+                                         regions).efficient)
+
+    def zero_in_gap(self, xbar: Vec, columns: Sequence[Vec],
+                    cone: OrderingCone) -> bool:
+        inst, regions = self.linear_instance(columns, cone)
+        if efficiency_check(inst, xbar, regions).efficient:
+            return True
+        targets = tuple(vdot(col, xbar) for col in columns)
+        for face in self.efficient_faces(inst, regions):
+            k = len(face.vertices)
+            rels = [eq(tuple(vdot(col, v) for v in face.vertices), t)
+                    for col, t in zip(columns, targets)]
+            rels.append(eq(tuple(Fraction(1) for _ in range(k)), 1))
+            if feasible_point(rels, k, nonneg=[True] * k) is not None:
+                return True
+        return False
 
 
 def efficient_faces(columns: Sequence[Vec], omega: FeasibleSet,
                     cone: OrderingCone) -> EfficientFaceList:
-    """Faces whose relative interior is efficient for the linear problem.
-
-    Efficiency is constant on the relative interior of a face, so the
-    vertex barycenter decides for the whole face.
-    """
-    n = len(columns[0])
-    rows, rhs = _reduced_polytope(omega, n)
-    inst = _linear_instance(columns, rows, rhs, cone)
-    regions = full_dim_selections(inst.objectives, n)
-    out = []
-    for face in enumerate_faces(rows, rhs, n):
-        res = efficiency_check(inst, face.barycenter(), regions)
-        if res.efficient:
-            out.append(face)
-    return tuple(out)
+    """Faces whose relative interior is efficient for the linear problem."""
+    poly = _GapPolytope(omega, len(columns[0]))
+    return poly.efficient_faces(*poly.linear_instance(columns, cone))
 
 
 def zero_in_gap(xbar: Vec, columns: Sequence[Vec], omega: FeasibleSet,
@@ -165,20 +197,7 @@ def zero_in_gap(xbar: Vec, columns: Sequence[Vec], omega: FeasibleSet,
     """Whether some efficient y for the linear problem has xi^T(xbar-y) = 0."""
     if not feasible_contains(omega, xbar):
         raise InfeasiblePointError("gap base point is infeasible")
-    n = len(xbar)
-    rows, rhs = _reduced_polytope(omega, n)
-    inst = _linear_instance(columns, rows, rhs, cone)
-    if efficiency_check(inst, xbar).efficient:
-        return True
-    targets = tuple(vdot(col, xbar) for col in columns)
-    for face in efficient_faces(columns, omega, cone):
-        k = len(face.vertices)
-        rels = [eq(tuple(vdot(col, v) for v in face.vertices), t)
-                for col, t in zip(columns, targets)]
-        rels.append(eq(tuple(Fraction(1) for _ in range(k)), 1))
-        if feasible_point(rels, k, nonneg=[True] * k) is not None:
-            return True
-    return False
+    return _GapPolytope(omega, len(xbar)).zero_in_gap(xbar, columns, cone)
 
 
 def vertex_scalarizations(components: Sequence[PieceFn],
@@ -262,7 +281,7 @@ def gap_necessary_check(inst: VOPInstance, xbar: Vec, seed: int = 0,
     """
     if not feasible_contains(inst.feasible, xbar):
         raise InfeasiblePointError("candidate point is infeasible")
-    _reduced_polytope(inst.feasible, inst.n)  # polytope gate
+    poly = _GapPolytope(inst.feasible, inst.n)  # polytope gate
 
     smooth_all = all(fn.kind == SMOOTH for fn in inst.objectives)
     if smooth_all:
@@ -284,7 +303,7 @@ def gap_necessary_check(inst: VOPInstance, xbar: Vec, seed: int = 0,
     searched = f"searched {len(vertex_xis)} vertex matrices, " \
                f"{len(sampled_xis)} sampled"
     for xi in vertex_xis + sampled_xis:
-        if zero_in_gap(xbar, xi, inst.feasible, inst.cone):
+        if poly.zero_in_gap(xbar, xi, inst.cone):
             return ConditionReport(GAP_NECESSARY, True, witness=xi,
                                    note=f"{hyp_note}; {searched}")
     if smooth_all:

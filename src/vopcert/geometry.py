@@ -24,7 +24,7 @@ from .cones import (
     dd_halfspaces_from_generators, hrep_equal, hrep_subset,
 )
 from .errors import (
-    EmptyInteriorError, InfeasiblePointError, NotPointedError,
+    ConsistencyError, EmptyInteriorError, InfeasiblePointError, NotPointedError,
     TrivialConeError,
 )
 from .funcs import (
@@ -86,8 +86,8 @@ def validate_ordering_cone(dim: int, rows: Optional[Mat] = None,
     sample = zeros(dim)
     for g in dual_gens:
         sample = vadd(sample, g)
-    for v in vrep.generators:
-        assert vdot(sample, v) > 0, "dual sample not strictly positive on the cone"
+    if any(vdot(sample, v) <= 0 for v in vrep.generators):
+        raise ConsistencyError("dual sample not strictly positive on the cone")
     return OrderingCone(dim, hrep, vrep, ConeVRep(dim, dual_gens), sample)
 
 
@@ -233,6 +233,7 @@ class TangentCone:
     cone: ConeHRep
     exact: bool = True
     note: Optional[str] = None
+    gate: Optional[bool] = None    # support-scalarization gate; conic only
 
 
 @dataclass(frozen=True)
@@ -248,17 +249,12 @@ def _conic_flags(block: ConicBlockSet, sup: ConicSupport):
     if not sup.exact:
         return False, "scalarized subdifferential only bounded, not exact"
     conv = kconvexity_check(block.g, block.q_cone.dual_neg_gens.generators,
-                            _block_dim(block))
+                            len(block.g[0].pieces[0].a))
     if conv.status != CONVEX:
         return False, "constraint map cone-convexity not established"
     if slater_point(block) is None:
         return False, "no strictly feasible point established"
     return True, None
-
-
-def _block_dim(block: ConicBlockSet) -> int:
-    p0 = block.g[0].pieces[0]
-    return len(p0.a)
 
 
 def tangent_cone(omega: FeasibleSet, xbar: Vec) -> TangentCone:
@@ -272,25 +268,19 @@ def tangent_cone(omega: FeasibleSet, xbar: Vec) -> TangentCone:
     if isinstance(omega, ConicBlockSet):
         sup = conic_support(omega, xbar)
         exact, note = _conic_flags(omega, sup)
-        return TangentCone(sup.dcone, exact, note)
+        return TangentCone(sup.dcone, exact, note, not sup.zero_in_subdiff)
     near = [c.a for c in omega.constraints if c.value(xbar) >= -omega.tau]
     return TangentCone(ConeHRep(n, dedup_rows(near)), False, DISCRETIZATION_NOTE)
 
 
+def polar_normal(tangent: TangentCone) -> NormalCone:
+    """The rows cutting out the tangent cone generate the normal cone."""
+    t = tangent.cone
+    return NormalCone(ConeVRep(t.dim, t.rows), tangent.exact, tangent.note)
+
+
 def normal_cone(omega: FeasibleSet, xbar: Vec) -> NormalCone:
-    n = len(xbar)
-    if not feasible_contains(omega, xbar):
-        raise InfeasiblePointError("base point is outside the feasible set")
-    if isinstance(omega, PolyhedralSet):
-        act = polyhedral_active_rows(omega, xbar)
-        rows = dedup_rows([omega.rows[j] for j in act])
-        return NormalCone(ConeVRep(n, rows))
-    if isinstance(omega, ConicBlockSet):
-        sup = conic_support(omega, xbar)
-        exact, note = _conic_flags(omega, sup)
-        return NormalCone(sup.upsilon, exact, note)
-    near = [c.a for c in omega.constraints if c.value(xbar) >= -omega.tau]
-    return NormalCone(ConeVRep(n, dedup_rows(near)), False, DISCRETIZATION_NOTE)
+    return polar_normal(tangent_cone(omega, xbar))
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +346,18 @@ def g2_cone(components: Sequence[PieceFn], cone: OrderingCone, xbar: Vec) -> G2R
     return G2Result(inner, False, inner, outer)
 
 
-def cones_coincide_check(components: Sequence[PieceFn],
-                         cone: OrderingCone, xbar: Vec) -> Optional[bool]:
+def cones_coincide(g1: ConeHRep, g2: G2Result) -> Optional[bool]:
     """True/False when decidable; None when the scalarized cone is inexact."""
-    g2 = g2_cone(components, cone, xbar)
     if not g2.exact:
         return None
-    g1 = g1_cone(components, cone, xbar)
     same, _ = hrep_equal(g1, g2.hrep)
     return same
+
+
+def cones_coincide_check(components: Sequence[PieceFn],
+                         cone: OrderingCone, xbar: Vec) -> Optional[bool]:
+    return cones_coincide(g1_cone(components, cone, xbar),
+                          g2_cone(components, cone, xbar))
 
 
 def nonascent_containment(components: Sequence[PieceFn], cone: OrderingCone,

@@ -10,20 +10,19 @@ all witnesses with plain evaluation and comparison, no solver involved.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .certify import (
     NECESSARY_INTERSECTION, NECESSARY_SPAN, NOT_ROBUST_CERTIFIED,
-    SUFFICIENT_INTERSECTION, SUFFICIENT_SPAN, VOPInstance, Verdict,
+    SUFFICIENT_INTERSECTION, SUFFICIENT_SPAN, VOPInstance, Verdict, _analyze,
 )
 from .errors import InstanceFormatError
 from .funcs import AffinePiece, MAX, MIN, PieceFn, QuadPiece, SMOOTH, \
-    clarke_subdiff_component, eval_components
+    eval_components
 from .geometry import (
     ConicBlockSet, DiscretizedSet, FeasibleSet, OrderingCone, PolyhedralSet,
-    feasible_contains, g1_cone, g2_cone, tangent_cone, normal_cone,
-    validate_ordering_cone,
+    feasible_contains, validate_ordering_cone,
 )
 from .oracle import OracleReport, PerturbationMatrix, perturbed_instance
 from .rationals import (
@@ -163,15 +162,12 @@ def parse_instance_doc(doc) -> ParsedInstance:
     objectives = tuple(_parse_piecefn(c, f"objectives[{i}]", n)
                        for i, c in enumerate(doc["objectives"]))
     cone = _parse_cone(doc["cone"], "cone", p)
-    feasible = _parse_feasible(doc["feasible"], "feasible", n, q)
-    candidate = _vec(doc["candidate"], "candidate", n)
     try:
-        inst = VOPInstance(objectives, feasible, cone, n)
-    except InstanceFormatError:
-        raise
-    except ValueError as exc:
-        raise _fail("instance", str(exc)) from exc
-    return ParsedInstance(inst, candidate)
+        feasible = _parse_feasible(doc["feasible"], "feasible", n, q)
+    except ValueError as exc:   # the set constructors' own checks
+        raise _fail("feasible", str(exc)) from exc
+    candidate = _vec(doc["candidate"], "candidate", n)
+    return ParsedInstance(VOPInstance(objectives, feasible, cone, n), candidate)
 
 
 def parse_instance_text(text: str) -> ParsedInstance:
@@ -222,22 +218,22 @@ def decode_matrix(value, path: str = "matrix") -> Tuple[Vec, ...]:
 
 def cone_data(inst: VOPInstance, xbar: Vec) -> Dict[str, object]:
     """The exact set data behind a verdict, keyed for reports and describe."""
-    t = tangent_cone(inst.feasible, xbar)
-    nrm = normal_cone(inst.feasible, xbar)
-    g1 = g1_cone(inst.objectives, inst.cone, xbar)
-    g2 = g2_cone(inst.objectives, inst.cone, xbar)
+    return _cone_data(_analyze(inst, xbar))
+
+
+def _cone_data(a) -> Dict[str, object]:
+    inst = a.inst
     return {
         "cone_hrep": inst.cone.hrep.rows,
         "cone_generators": inst.cone.vrep.generators,
         "dual_neg_generators": inst.cone.dual_neg_gens.generators,
-        "subdifferentials": [clarke_subdiff_component(fn, xbar).vertices
-                             for fn in inst.objectives],
-        "g1_rows": g1.rows,
-        "g2_rows": g2.hrep.rows,
-        "g2_exact": g2.exact,
-        "tangent_rows": t.cone.rows,
-        "tangent_exact": t.exact,
-        "normal_generators": nrm.cone.generators,
+        "subdifferentials": list(a.subdiffs),
+        "g1_rows": a.g1.rows,
+        "g2_rows": a.g2.hrep.rows,
+        "g2_exact": a.g2.exact,
+        "tangent_rows": a.tangent.cone.rows,
+        "tangent_exact": a.tangent.exact,
+        "normal_generators": a.normal.cone.generators,
     }
 
 
@@ -256,6 +252,9 @@ def report_document(inst: VOPInstance, xbar: Vec, verdict: Verdict,
                     oracle: Optional[OracleReport] = None,
                     radius: Optional[Fraction] = None,
                     seed: Optional[int] = None) -> dict:
+    a = verdict._analysis   # the cones the verdict was decided on
+    if a is None or a.inst != inst or a.xbar != xbar:
+        a = _analyze(inst, xbar)
     doc = {
         "tool": {"name": "vopcert", "version": __version__},
         "candidate": xbar,
@@ -266,7 +265,7 @@ def report_document(inst: VOPInstance, xbar: Vec, verdict: Verdict,
         "oracle_referral": verdict.oracle_referral,
         "witness": verdict.witness,
         "stamps": list(verdict.stamps),
-        "cones": cone_data(inst, xbar),
+        "cones": _cone_data(a),
         "seed": seed,
     }
     if elapsed is not None:
@@ -324,6 +323,8 @@ def verify_report(parsed: ParsedInstance, doc: dict) -> List[str]:
     points, and perturbation matrices are validated with evaluation and
     comparison only. An empty list means every recorded witness stands.
     """
+    if not isinstance(doc, dict):
+        raise InstanceFormatError("report: expected an object")
     problems: List[str] = []
     inst, xbar = parsed.instance, parsed.candidate
     try:
@@ -333,6 +334,9 @@ def verify_report(parsed: ParsedInstance, doc: dict) -> List[str]:
         problems.append(str(exc))
 
     cones = doc.get("cones", {})
+    if not isinstance(cones, dict):
+        problems.append("cones: expected an object")
+        return problems
     try:
         tangent = decode_matrix(cones.get("tangent_rows", []), "tangent_rows")
         g1 = decode_matrix(cones.get("g1_rows", []), "g1_rows")
@@ -353,7 +357,14 @@ def verify_report(parsed: ParsedInstance, doc: dict) -> List[str]:
         else:
             _check_direction(problems, "verdict witness", doc["witness"],
                              rowsets[NECESSARY_INTERSECTION])
-    for rep in doc.get("reports", []):
+    reports = doc.get("reports", [])
+    if not isinstance(reports, list):
+        problems.append("reports: expected a list")
+        reports = []
+    for i, rep in enumerate(reports):
+        if not isinstance(rep, dict):
+            problems.append(f"reports[{i}]: expected an object")
+            continue
         cond = rep.get("condition")
         if cond in rowsets and rep.get("holds") is False \
                 and rep.get("witness") is not None:
@@ -365,6 +376,8 @@ def verify_report(parsed: ParsedInstance, doc: dict) -> List[str]:
 
 
 def _verify_oracle_doc(inst: VOPInstance, xbar: Vec, odoc: dict) -> List[str]:
+    if not isinstance(odoc, dict):
+        return ["oracle: expected an object"]
     problems: List[str] = []
     if odoc.get("outcome") != "RefutedWithWitness":
         return problems

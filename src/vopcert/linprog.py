@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .rationals import Q0, Q1, Vec, is_zero_vec, vdot
+from .rationals import Q0, Q1, Vec, vdot
 
 Relation = Tuple[Sequence[Fraction], str, Fraction]
 
@@ -105,16 +105,11 @@ class _Core:
         # structural columns: nonneg vars get one, free vars a +/- pair
         self.colmap: List[Tuple[int, int]] = []
         for j in range(n):
-            if nonneg is not None and nonneg[j]:
-                self.colmap.append((j, 1))
-            else:
-                self.colmap.append((j, 1))
+            self.colmap.append((j, 1))
+            if nonneg is None or not nonneg[j]:
                 self.colmap.append((j, -1))
         ns = len(self.colmap)
         m = len(rows)
-        self.m = m
-        self.nslack = m
-        self.banned: set = set()
         width = ns + m  # artificials appended after
         tab: List[List[Fraction]] = []
         basis: List[int] = []
@@ -191,7 +186,8 @@ class _Core:
                     if self.tab[i][j]:
                         zrow[j] += self.tab[i][j]
         status, _ = self._simplex(zrow, phase1=True)
-        assert status == OPTIMAL
+        if status != OPTIMAL:
+            raise LpInternalError("phase 1 did not reach an optimum")
         if -zrow[-1] != 0:  # leftover artificial mass
             return False
         self._drive_out_artificials()
@@ -286,17 +282,13 @@ def _farkas_certificate(rows, rhs) -> Vec:
 
 
 def lp_solve(objective: Sequence[Fraction], relations: Sequence[Relation],
-             sense: str = "max", nonneg: Optional[Sequence[bool]] = None) -> LpResult:
-    """Exact LP solve. Witnesses are re-checked by substitution before return."""
+             nonneg: Optional[Sequence[bool]] = None) -> LpResult:
+    """Exact LP solve of max objective . x; minimize by negating the objective.
+
+    Witnesses are re-checked by substitution before return.
+    """
     n = len(objective)
     c = tuple(Fraction(v) for v in objective)
-    if sense == "min":
-        inner = lp_solve(tuple(-v for v in c), relations, "max", nonneg)
-        if inner.status == OPTIMAL:
-            return LpResult(OPTIMAL, -inner.value, inner.x)
-        return inner
-    if sense != "max":
-        raise ValueError(f"unknown sense {sense!r}")
     rows, rhs = normalize_relations(relations, n)
     if n == 0:
         bad = next((i for i, b in enumerate(rhs) if b < 0), None)

@@ -196,7 +196,8 @@ def robust_oracle(inst: VOPInstance, xbar: Vec, r, budget: int = 1000,
                     for _ in range(budget))
     candidates = (zero_matrix(inst.p, inst.n),) + pats + samples
     npat = 1 + len(pats)
-    assert all(m.frobenius_sq() < r * r for m in candidates)
+    if not all(m.in_ball(r) for m in candidates):
+        raise ConsistencyError("perturbation candidate outside the open ball")
 
     workers = _resolve_workers(workers)
     hit = None
@@ -255,6 +256,6 @@ def radius_estimate(inst: VOPInstance, xbar: Vec, r_max, budget: int = 200,
         if nxt in (lo, hi):
             break
         probe = nxt
-    if refuted_at is not None:
-        assert clean_below < refuted_at
+    if refuted_at is not None and clean_below >= refuted_at:
+        raise ConsistencyError("clean radius level above a refuted one")
     return RadiusEstimate(refuted_at, clean_below, tuple(trace))

@@ -50,20 +50,6 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def qvec(values: Iterable) -> Vec:
-    return tuple(parse_rational(v) for v in values)
-
-
-def qmat(rows: Iterable[Iterable]) -> Mat:
-    out = tuple(qvec(r) for r in rows)
-    if out:
-        width = len(out[0])
-        for r in out:
-            if len(r) != width:
-                raise ValueError("ragged matrix")
-    return out
-
-
 def zeros(n: int) -> Vec:
     return (Q0,) * n
 
@@ -109,12 +95,6 @@ def is_zero_vec(a: Sequence[Fraction]) -> bool:
 
 def mat_vec(m: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vec:
     return tuple(vdot(row, x) for row in m)
-
-
-def transpose(m: Sequence[Sequence[Fraction]]) -> Mat:
-    if not m:
-        return ()
-    return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
 
 
 def primitive(v: Sequence[Fraction]) -> Vec:
@@ -267,12 +247,3 @@ def psd_witness(h: Sequence[Sequence[Fraction]]) -> Optional[Vec]:
                     work[i][j] -= fi * work[pos][j]
         active = rest
     return None
-
-
-def frobenius_sq(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    total = Q0
-    for row in m:
-        for x in row:
-            if x:
-                total += x * x
-    return total

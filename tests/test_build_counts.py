@@ -1,0 +1,112 @@
+"""Each cone is built once per (instance, candidate), the gap polytope once
+per check.
+
+Functions are counted wherever a vopcert module binds them: a
+`from .geometry import g1_cone` copies the binding into the importing
+module. Modules are reached through sys.modules, because the package
+attribute `vopcert.certify` is the function, not the submodule.
+"""
+
+import sys
+
+from helpers import af, maxfn, minfn, qv, smooth
+from vopcert.certify import ROBUST_CERTIFIED, VOPInstance, certify
+from vopcert.gapfn import gap_necessary_check
+from vopcert.geometry import (
+    ConicBlockSet, PolyhedralSet, validate_ordering_cone,
+)
+from vopcert.instances import report_document
+
+ORTHANT2 = validate_ordering_cone(2, rows=(qv(-1, 0), qv(0, -1)))
+K_EX = validate_ordering_cone(2, rows=(qv(-1, -1), qv(-1, 0)))
+EXAMPLE = VOPInstance((maxfn(af([0]), af([1])), minfn(af([-1]), af([0]))),
+                      PolyhedralSet((), ()), K_EX, 1)
+
+
+def _count(monkeypatch, module, name, only_in=None):
+    """Record the arguments of every call to vopcert.<module>.<name>.
+
+    With only_in, just that module's binding is wrapped, so only the calls
+    made from inside it are seen.
+    """
+    original = getattr(sys.modules[f"vopcert.{module}"], name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    holders = ([sys.modules[f"vopcert.{only_in}"]] if only_in else
+               [mod for key, mod in sys.modules.items()
+                if key == "vopcert" or key.startswith("vopcert.")])
+    for mod in holders:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def test_certify_and_report_build_each_cone_once(monkeypatch):
+    counts = {name: _count(monkeypatch, "geometry", name)
+              for name in ("g1_cone", "g2_cone", "tangent_cone")}
+    verdict = certify(EXAMPLE, qv(0))
+    report_document(EXAMPLE, qv(0), verdict)
+    assert {name: len(c) for name, c in counts.items()} == \
+        {"g1_cone": 1, "g2_cone": 1, "tangent_cone": 1}
+
+
+def test_report_for_another_candidate_rebuilds(monkeypatch):
+    verdict = certify(EXAMPLE, qv(0))
+    g1 = _count(monkeypatch, "geometry", "g1_cone")
+    doc = report_document(EXAMPLE, qv(1), verdict)
+    assert len(g1) == 1 and doc["candidate"] == [1]
+
+
+def test_verdict_equality_and_repr_ignore_the_cones():
+    first, second = certify(EXAMPLE, qv(0)), certify(EXAMPLE, qv(0))
+    assert first == second
+    assert "_analysis" not in repr(first)
+
+
+def test_conic_support_runs_once(monkeypatch):
+    sup = _count(monkeypatch, "geometry", "conic_support")
+    blk = ConicBlockSet((smooth(af([1, 1], -1)), smooth(af([0, -1]))),
+                        ORTHANT2)
+    inst = VOPInstance((smooth(af([-1, 0])), smooth(af([0, -1]))), blk,
+                       ORTHANT2, 2)
+    verdict = certify(inst, qv(1, 0))
+    report_document(inst, qv(1, 0), verdict)
+    assert verdict.status == ROBUST_CERTIFIED
+    assert len(sup) == 1
+
+
+def test_gap_check_builds_the_polytope_once(monkeypatch):
+    box = PolyhedralSet((qv(1, 0), qv(-1, 0), qv(0, 1), qv(0, -1)),
+                        qv(1, 1, 1, 1))
+    inst = VOPInstance((maxfn(af([1, 0]), af([-1, 0])),
+                        maxfn(af([0, 1]), af([0, -1]))), box, ORTHANT2, 2)
+    xbar = qv(0, 0)
+    assert certify(inst, xbar).status == ROBUST_CERTIFIED
+    faces = _count(monkeypatch, "gapfn", "enumerate_faces")
+    gap_lps = _count(monkeypatch, "linprog", "lp_solve", only_in="gapfn")
+    tried = _count(monkeypatch, "certify", "efficiency_check")
+    rep = gap_necessary_check(inst, xbar)
+    assert rep.holds is True
+    # the square has 9 faces; more barycenter checks than that means
+    # several matrices reached the face stage, and they shared one list
+    assert sum(1 for args in tried if args[1] != xbar) > 9
+    assert len(faces) <= 1
+    units = sorted(tuple(s * (i == k) for k in range(2))
+                   for i in range(2) for s in (1, -1))
+    assert sorted(tuple(args[0]) for args in gap_lps) == units
+
+
+def test_gap_check_settled_at_base_point_skips_faces(monkeypatch):
+    # 18 rows exceed the face-enumeration cap; the first matrix already
+    # finds the base point efficient, so the faces are never needed
+    rows = tuple(qv(1) for _ in range(17)) + (qv(-1),)
+    rhs = tuple(qv(*range(1, 18))) + qv(1)
+    inst = VOPInstance((smooth(af([1])), smooth(af([-1]))),
+                       PolyhedralSet(rows, rhs), ORTHANT2, 1)
+    faces = _count(monkeypatch, "gapfn", "enumerate_faces")
+    rep = gap_necessary_check(inst, qv(0))
+    assert rep.holds is True and faces == []

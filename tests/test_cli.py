@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from vopcert import cli
 from vopcert.cli import main
+from vopcert.errors import ConsistencyError
 from vopcert.instances import parse_instance, verify_report
+from vopcert.linprog import LpInternalError
 
 EX1 = {
     "dims": {"n": 1, "p": 2},
@@ -203,3 +206,70 @@ def test_conic_and_discretized_paths(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "discretization-dependent" in out
     assert code in (0, 1, 2)
+
+
+def _report_path(tmp_path, capsys, text=None, **changes):
+    path = _write(tmp_path, EX1)
+    assert main(["certify", path, "--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    doc.update(changes)
+    rpath = tmp_path / "report.json"
+    rpath.write_text(json.dumps(doc) if text is None else text,
+                     encoding="utf-8")
+    return path, str(rpath)
+
+
+def test_non_ascii_instance_exits_65(tmp_path, capsys):
+    path = tmp_path / "inst.vop"
+    path.write_text(json.dumps(EX1)[:-1] + ', "café": 1}', encoding="utf-8")
+    assert main(["certify", str(path)]) == 65
+    assert "cannot read input" in capsys.readouterr().err
+
+
+def test_non_ascii_report_exits_65(tmp_path, capsys):
+    path, rpath = _report_path(tmp_path, capsys, text='{"note": "café"}')
+    assert main(["verify-report", path, rpath]) == 65
+    assert "cannot read input" in capsys.readouterr().err
+
+
+def test_report_that_is_a_list_exits_65(tmp_path, capsys):
+    path, rpath = _report_path(tmp_path, capsys, text="[]")
+    assert main(["verify-report", path, rpath]) == 65
+    assert "report: expected an object" in capsys.readouterr().err
+
+
+def test_report_cones_list_exits_65(tmp_path, capsys):
+    path, rpath = _report_path(tmp_path, capsys, cones=[])
+    assert main(["verify-report", path, rpath]) == 65
+    assert "FAIL cones: expected an object" in capsys.readouterr().out
+
+
+def test_report_entry_not_object_exits_65(tmp_path, capsys):
+    path, rpath = _report_path(tmp_path, capsys, reports=["necessary-span"])
+    assert main(["verify-report", path, rpath]) == 65
+    assert "FAIL reports[0]: expected an object" in capsys.readouterr().out
+
+
+def test_consistency_error_exits_70(tmp_path, capsys, monkeypatch):
+    def broken(inst, xbar):
+        raise ConsistencyError("two routes disagree")
+    monkeypatch.setattr(cli, "certify", broken)
+    assert main(["certify", _write(tmp_path, EX1)]) == 70
+    assert "internal error: two routes disagree" in capsys.readouterr().err
+
+
+def test_lp_internal_error_exits_70(tmp_path, capsys, monkeypatch):
+    def broken(inst, xbar, seed=0):
+        raise LpInternalError("witness failed substitution")
+    monkeypatch.setattr(cli, "gap_necessary_check", broken)
+    assert main(["gap", _write(tmp_path, EX1)]) == 70
+    assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("feasible", [
+    {"type": "polyhedral", "rows": [[0]], "rhs": [1]},
+    {"type": "discretized", "constraints": []},
+])
+def test_set_rejected_by_its_constructor_exits_65(tmp_path, capsys, feasible):
+    assert main(["certify", _write(tmp_path, {**EX1, "feasible": feasible})]) == 65
+    assert "invalid input: feasible:" in capsys.readouterr().err

@@ -23,9 +23,11 @@ def test_single_variable_bounded_max():
 
 
 def test_single_variable_min_with_lower_bound():
-    res = lp_solve((Q(1),), [ge((Q(1),), Q(-2))], sense="min")
+    # min x subject to x >= -2, solved as max -x
+    res = lp_solve((Q(-1),), [ge((Q(1),), Q(-2))])
     assert res.status == OPTIMAL
-    assert res.value == -2
+    assert -res.value == -2
+    assert res.x == (Q(-2),)
 
 
 def test_infeasible_pair_has_farkas():
