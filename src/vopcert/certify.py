@@ -123,8 +123,16 @@ def polyhedral_reduction(omega: FeasibleSet) -> Optional[Tuple[Tuple[Vec, ...], 
     if isinstance(omega, PolyhedralSet):
         return omega.rows, omega.rhs
     if isinstance(omega, DiscretizedSet):
-        return (tuple(c.a for c in omega.constraints),
-                tuple(-c.b for c in omega.constraints))
+        rows = []
+        rhs = []
+        for c in omega.constraints:
+            if is_zero_vec(c.a):  # 0 . x + b <= 0: vacuous or empty
+                if c.b > 0:
+                    raise InstanceFormatError("discretized family is empty")
+                continue
+            rows.append(c.a)
+            rhs.append(-c.b)
+        return tuple(rows), tuple(rhs)
     if isinstance(omega, ConicBlockSet):
         if not all(fn.is_affine() and len(fn.pieces) == 1 for fn in omega.g):
             return None
@@ -378,9 +386,12 @@ def _hypotheses(a: _Analysis):
     inst = a.inst
     omega_convex = True  # explicit halfspace systems are convex
     if isinstance(inst.feasible, ConicBlockSet):
-        omega_convex = _CONVEXITY.get(kconvexity_check(
-            inst.feasible.g, inst.feasible.q_cone.dual_neg_gens.generators,
-            inst.n).status)
+        conv = a.tangent.map_convexity
+        if conv is None:  # the tangent cone's flags stopped before it
+            conv = kconvexity_check(
+                inst.feasible.g, inst.feasible.q_cone.dual_neg_gens.generators,
+                inst.n).status
+        omega_convex = _CONVEXITY.get(conv)
     kconv = kconvexity_check(inst.objectives,
                              inst.cone.dual_neg_gens.generators, inst.n)
     return {

@@ -234,6 +234,9 @@ class TangentCone:
     exact: bool = True
     note: Optional[str] = None
     gate: Optional[bool] = None    # support-scalarization gate; conic only
+    # kconvexity_check status of a conic constraint map, when the flags
+    # below got as far as deciding it
+    map_convexity: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -244,17 +247,18 @@ class NormalCone:
 
 
 def _conic_flags(block: ConicBlockSet, sup: ConicSupport):
+    """(exact, note, constraint-map convexity status or None if not reached)."""
     if sup.zero_in_subdiff:
-        return False, "support-scalarization gate failed: 0 in its subdifferential"
+        return False, "support-scalarization gate failed: 0 in its subdifferential", None
     if not sup.exact:
-        return False, "scalarized subdifferential only bounded, not exact"
+        return False, "scalarized subdifferential only bounded, not exact", None
     conv = kconvexity_check(block.g, block.q_cone.dual_neg_gens.generators,
-                            len(block.g[0].pieces[0].a))
-    if conv.status != CONVEX:
-        return False, "constraint map cone-convexity not established"
+                            len(block.g[0].pieces[0].a)).status
+    if conv != CONVEX:
+        return False, "constraint map cone-convexity not established", conv
     if slater_point(block) is None:
-        return False, "no strictly feasible point established"
-    return True, None
+        return False, "no strictly feasible point established", conv
+    return True, None, conv
 
 
 def tangent_cone(omega: FeasibleSet, xbar: Vec) -> TangentCone:
@@ -267,8 +271,8 @@ def tangent_cone(omega: FeasibleSet, xbar: Vec) -> TangentCone:
         return TangentCone(ConeHRep(n, rows))
     if isinstance(omega, ConicBlockSet):
         sup = conic_support(omega, xbar)
-        exact, note = _conic_flags(omega, sup)
-        return TangentCone(sup.dcone, exact, note, not sup.zero_in_subdiff)
+        exact, note, conv = _conic_flags(omega, sup)
+        return TangentCone(sup.dcone, exact, note, not sup.zero_in_subdiff, conv)
     near = [c.a for c in omega.constraints if c.value(xbar) >= -omega.tau]
     return TangentCone(ConeHRep(n, dedup_rows(near)), False, DISCRETIZATION_NOTE)
 

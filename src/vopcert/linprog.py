@@ -1,20 +1,32 @@
 """Exact simplex over the rationals with Farkas and ray witnesses.
 
-Deterministic by construction: Bland's rule with a fixed variable order, so
-identical inputs pivot identically and produce bit-identical results.
-
 Relations are (coeffs, op, rhs) triples with op in {"<=", ">=", "=="}; they are
 normalized to a pure <= system (equalities become two rows) so that every
 infeasibility certificate has the uniform shape y >= 0, y^T A = 0, y^T b < 0.
+
+The tableau is fraction-free: row i is a list of Python ints over one
+positive int denominator, built straight from the numerators and
+denominators of the input and divided by the gcd of its entries and its
+denominator after every update. Fractions appear only at the interface: in
+the returned point, ray and value, and in the substitution re-checks.
+
+Pivots follow Bland's rule with a fixed variable order, so identical inputs
+pivot identically and produce bit-identical results. They are the pivots of
+the Fraction tableau this kernel replaced, because every decision reads a
+rational value whose sign or order the integer rows give exactly: a positive
+denominator leaves the sign of each reduced cost to its numerator, and in
+the ratio test b_i / a_i the row denominator cancels, so rows i and k
+compare as b_i * a_k < b_k * a_i. Ties break on the lower basic variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .rationals import Q0, Q1, Vec, vdot
+from .rationals import Q0, Q1, Vec, integer_row, unit, vdot
 
 Relation = Tuple[Sequence[Fraction], str, Fraction]
 
@@ -44,7 +56,9 @@ class LpResult:
     status: str
     value: Optional[Fraction] = None
     x: Optional[Vec] = None
-    # Farkas certificate over the normalized <= rows when infeasible
+    # Farkas certificate over the normalized <= rows when infeasible; with
+    # nonneg, one more entry per sign-constrained variable j, in order of j,
+    # for its row -x_j <= 0 (the normalization of ge(e_j, 0))
     farkas: Optional[Vec] = None
     # improving direction (structural variables) when unbounded
     ray: Optional[Vec] = None
@@ -75,30 +89,45 @@ def normalize_relations(relations: Sequence[Relation], n: int):
     return rows, rhs
 
 
-def _pivot(tab, basis, r, e, zrow):
+def _reduced(nums, den):
+    g = gcd(*nums, den)
+    if g == 1:
+        return nums, den
+    return [v // g for v in nums], den // g
+
+
+def _pivot(tab, dens, basis, r, e, zrow=None):
+    """Make column e a unit column with its 1 in row r; zrow is [nums, den]."""
     prow = tab[r]
-    piv = prow[e]
-    if piv != Q1:
-        inv = Q1 / piv
-        tab[r] = prow = [x * inv for x in prow]
-    nz = [(j, prow[j]) for j in range(len(prow)) if prow[j]]
-    for i in range(len(tab)):
-        if i == r:
-            continue
-        row = tab[i]
-        f = row[e]
-        if f:
-            for j, pv in nz:
-                row[j] -= f * pv
-    f = zrow[e]
-    if f:
-        for j, pv in nz:
-            zrow[j] -= f * pv
+    dp = prow[e]
+    if dp < 0:
+        prow = [-v for v in prow]
+        dp = -dp
+    # the pivot row over dp has a 1 at column e
+    prow, dp = _reduced(prow, dp)
+    tab[r], dens[r] = prow, dp
+    for i, row in enumerate(tab):
+        if i != r and row[e]:
+            tab[i], dens[i] = _eliminate(row, dens[i], prow, dp, e)
+    if zrow is not None and zrow[0][e]:
+        zrow[0], zrow[1] = _eliminate(zrow[0], zrow[1], prow, dp, e)
     basis[r] = e
 
 
+def _eliminate(row, den, prow, dp, e):
+    """row/den - (row[e]/den) * (prow/dp), reduced; prow[e] == dp > 0."""
+    f = row[e]
+    g = gcd(f, dp)
+    a, b = dp // g, f // g
+    return _reduced([x * a - b * y for x, y in zip(row, prow)], den * a)
+
+
 class _Core:
-    """Standard-form tableau for max c^T x, A x <= b with per-variable sign."""
+    """Standard-form tableau for max c^T x, A x <= b with per-variable sign.
+
+    Row i of the tableau is tab[i] / dens[i], integers over a positive
+    denominator; column `basis[i]` of row i holds dens[i] (the value 1).
+    """
 
     def __init__(self, rows, rhs, n, nonneg):
         self.n = n
@@ -110,131 +139,126 @@ class _Core:
                 self.colmap.append((j, -1))
         ns = len(self.colmap)
         m = len(rows)
-        width = ns + m  # artificials appended after
-        tab: List[List[Fraction]] = []
+        scaled = [integer_row((*row, b)) for row, b in zip(rows, rhs)]
+        flipped = [ints[-1] < 0 for ints, _ in scaled]
+        # columns: structural, one slack per row, one artificial per flipped
+        # row (its slack coefficient is -1 there), then the right-hand side
+        ncols = ns + m + sum(flipped)
+        tab: List[List[int]] = []
+        dens: List[int] = []
         basis: List[int] = []
         art_cols: List[int] = []
-        flipped: List[bool] = []
-        for i in range(m):
-            flip = rhs[i] < 0
-            flipped.append(flip)
-            sgn = -Q1 if flip else Q1
-            row = [Q0] * (width + 1)
-            for cidx, (j, s) in enumerate(self.colmap):
-                v = rows[i][j]
-                if v:
-                    row[cidx] = sgn * v * s
-            row[ns + i] = sgn  # slack
-            row[-1] = -rhs[i] if flip else rhs[i]
-            tab.append(row)
-            basis.append(ns + i)
-        # artificials for flipped rows (slack coefficient is -1 there)
-        for i in range(m):
+        for i, (ints, den) in enumerate(scaled):
             if flipped[i]:
-                for row in tab:
-                    row.insert(-1, Q0)
-                col = len(tab[0]) - 2
-                tab[i][col] = Q1
-                basis[i] = col
+                ints = [-v for v in ints]
+            row = [ints[j] if s > 0 else -ints[j] for j, s in self.colmap]
+            row += [0] * (ncols - ns)
+            row.append(ints[-1])
+            row[ns + i] = -den if flipped[i] else den  # slack
+            if flipped[i]:
+                col = ns + m + len(art_cols)
+                row[col] = den
                 art_cols.append(col)
+                basis.append(col)
+            else:
+                basis.append(ns + i)
+            tab.append(row)
+            dens.append(den)
         self.tab = tab
+        self.dens = dens
         self.basis = basis
         self.art_cols = art_cols
         self.ns = ns
-        self.ncols = len(tab[0]) - 1 if tab else ns
+        self.ncols = ncols
         self.banned = set(art_cols)
 
     def _simplex(self, zrow, phase1: bool):
         tab, basis = self.tab, self.basis
         ncols = self.ncols
         banned = self.banned if not phase1 else set()
+        z = zrow[0]
         while True:
+            # Bland: lowest improving column; dens > 0, so signs are exact
             e = -1
             for j in range(ncols):
-                if j in banned:
-                    continue
-                if zrow[j] > 0:
+                if z[j] > 0 and j not in banned:
                     e = j
                     break
             if e < 0:
                 return OPTIMAL, -1
+            # ratio b_i / a_i: the row denominators cancel
             r = -1
-            best = None
-            for i in range(len(tab)):
-                a = tab[i][e]
+            for i, row in enumerate(tab):
+                a = row[e]
                 if a > 0:
-                    ratio = tab[i][-1] / a
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[r]):
-                        best = ratio
-                        r = i
+                    if r < 0:
+                        r, ba, bb = i, a, row[-1]
+                        continue
+                    left, right = row[-1] * ba, bb * a
+                    if left < right or (left == right and basis[i] < basis[r]):
+                        r, ba, bb = i, a, row[-1]
             if r < 0:
                 if phase1:
                     raise LpInternalError("phase 1 unbounded")
                 return UNBOUNDED, e
-            _pivot(tab, basis, r, e, zrow)
+            _pivot(tab, self.dens, basis, r, e, zrow)
+            z = zrow[0]
+
+    def _price_out(self, zrow):
+        """Subtract basic rows from zrow until every basic column reads 0.
+
+        zrow[b] / den is the cost of basic column b, and row i has a 1 there,
+        so this is zrow - cost * row for each basic row.
+        """
+        for i, b in enumerate(self.basis):
+            if zrow[0][b]:
+                zrow[0], zrow[1] = _eliminate(zrow[0], zrow[1], self.tab[i],
+                                              self.dens[i], b)
 
     def run_phase1(self) -> bool:
         """True if the system is feasible."""
         if not self.art_cols:
             return True
-        zrow = [Q0] * (self.ncols + 1)
+        z = [0] * (self.ncols + 1)
         for c in self.art_cols:
-            zrow[c] = -Q1
-        for i, b in enumerate(self.basis):
-            if b in self.banned:  # artificial basic: add its row back
-                for j in range(self.ncols + 1):
-                    if self.tab[i][j]:
-                        zrow[j] += self.tab[i][j]
+            z[c] = -1
+        zrow = [z, 1]
+        self._price_out(zrow)
         status, _ = self._simplex(zrow, phase1=True)
         if status != OPTIMAL:
             raise LpInternalError("phase 1 did not reach an optimum")
-        if -zrow[-1] != 0:  # leftover artificial mass
+        if zrow[0][-1] != 0:  # leftover artificial mass
             return False
         self._drive_out_artificials()
         return True
 
     def _drive_out_artificials(self):
+        # every row keeps a nonzero entry outside the artificial columns: the
+        # slack columns start as a signed identity, and row operations keep
+        # the non-artificial block at full row rank
         tab, basis = self.tab, self.basis
-        drop = []
         for i in range(len(tab)):
             if basis[i] in self.banned:
-                target = -1
-                for j in range(self.ncols):
-                    if j not in self.banned and tab[i][j] != 0:
-                        target = j
-                        break
-                if target >= 0:
-                    dummy = [Q0] * (self.ncols + 1)
-                    _pivot(tab, basis, i, target, dummy)
-                else:
-                    drop.append(i)
-        for i in reversed(drop):
-            del tab[i]
-            del basis[i]
+                target = next((j for j in range(self.ncols)
+                               if j not in self.banned and tab[i][j]), -1)
+                if target < 0:
+                    raise LpInternalError("artificial row has no pivot")
+                _pivot(tab, self.dens, basis, i, target)
 
     def run_phase2(self, c_structural):
-        zrow = [Q0] * (self.ncols + 1)
-        for cidx, (j, s) in enumerate(self.colmap):
-            if c_structural[j]:
-                zrow[cidx] = c_structural[j] * s
-        for i, b in enumerate(self.basis):
-            if b >= self.ns:
-                continue  # slack/artificial basic: zero cost
-            j, s = self.colmap[b]
-            cb = c_structural[j] * s
-            if cb:
-                for jj in range(self.ncols + 1):
-                    if self.tab[i][jj]:
-                        zrow[jj] -= cb * self.tab[i][jj]
-        status, e = self._simplex(zrow, phase1=False)
-        return status, e, zrow
+        ints, den = integer_row(c_structural)
+        z = [ints[j] if s > 0 else -ints[j] for j, s in self.colmap]
+        z += [0] * (self.ncols + 1 - len(z))
+        zrow = [z, den]
+        self._price_out(zrow)
+        return self._simplex(zrow, phase1=False)
 
     def solution(self) -> Vec:
         x = [Q0] * self.n
         for i, b in enumerate(self.basis):
             if b < self.ns:
                 j, s = self.colmap[b]
-                x[j] += s * self.tab[i][-1]
+                x[j] += s * Fraction(self.tab[i][-1], self.dens[i])
         return tuple(x)
 
     def ray(self, e: int) -> Vec:
@@ -245,7 +269,7 @@ class _Core:
         for i, b in enumerate(self.basis):
             if b < self.ns:
                 j, s = self.colmap[b]
-                d[j] += s * (-self.tab[i][e])
+                d[j] += s * Fraction(-self.tab[i][e], self.dens[i])
         return tuple(d)
 
 
@@ -298,9 +322,12 @@ def lp_solve(objective: Sequence[Fraction], relations: Sequence[Relation],
         return LpResult(INFEASIBLE, farkas=y)
     core = _Core(rows, rhs, n, nonneg)
     if not core.run_phase1():
-        y = _farkas_certificate(rows, rhs)
+        # the sign constraints -x_j <= 0 are rows of the system as well
+        signs = [j for j in range(n) if nonneg is not None and nonneg[j]]
+        y = _farkas_certificate(rows + [unit(n, j, -1) for j in signs],
+                                rhs + [Q0] * len(signs))
         return LpResult(INFEASIBLE, farkas=y)
-    status, e, zrow = core.run_phase2(c)
+    status, e = core.run_phase2(c)
     if status == UNBOUNDED:
         d = core.ray(e)
         x0 = core.solution()

@@ -1,7 +1,9 @@
 """Exact rational vectors and matrices on top of fractions.Fraction.
 
 Everything downstream (LP, cones, certificates) goes through these helpers, so
-no float ever enters the certificate path.
+no float ever enters the certificate path. Elimination (`row_echelon`,
+`matrix_rank`, `nullspace_basis`, `invert`) runs on integer rows and converts
+back to Fractions only for its result.
 """
 
 from __future__ import annotations
@@ -105,13 +107,8 @@ def primitive(v: Sequence[Fraction]) -> Vec:
     """
     if is_zero_vec(v):
         return tuple(Q0 for _ in v)
-    den_lcm = 1
-    for x in v:
-        den_lcm = den_lcm * x.denominator // math.gcd(den_lcm, x.denominator)
-    ints = [x.numerator * (den_lcm // x.denominator) for x in v]
-    g = 0
-    for k in ints:
-        g = math.gcd(g, k)
+    ints, _ = integer_row(v)
+    g = math.gcd(*ints)
     return tuple(Fraction(k // g) for k in ints)
 
 
@@ -132,14 +129,25 @@ def dedup_rows(rows: Iterable[Sequence[Fraction]], drop_zero: bool = True) -> Ma
     return tuple(out)
 
 
-def row_echelon(m: Sequence[Sequence[Fraction]]):
-    """Fraction Gaussian elimination.
+def integer_row(values: Sequence[Fraction]):
+    """(nums, den) with nums / den == values entrywise and den > 0 the lcm of
+    their denominators; built from numerators and denominators alone."""
+    dens = [v.denominator for v in values]
+    den = math.lcm(*dens)
+    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
-    Returns (rank, pivot column list, reduced rows) with reduced rows in RREF.
+
+def _echelon_ints(m: Sequence[Sequence[Fraction]]):
+    """Fraction-free Gauss-Jordan elimination.
+
+    Works on the rows scaled to integers, each kept up to a nonzero scale and
+    divided by its content after every update, so the entries stay small.
+    Scaling a row keeps the rank, the null space and the reduced form, and
+    pivot choice reads only zero tests. Returns (rank, pivot columns, rows).
     """
-    rows = [list(r) for r in m]
+    rows = [integer_row(row)[0] for row in m]
     if not rows:
-        return 0, [], []
+        return 0, [], rows
     ncols = len(rows[0])
     pivots = []
     r = 0
@@ -152,12 +160,16 @@ def row_echelon(m: Sequence[Sequence[Fraction]]):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Q1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f != 0:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(rows[i], prow)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -165,8 +177,25 @@ def row_echelon(m: Sequence[Sequence[Fraction]]):
     return r, pivots, rows
 
 
+def row_echelon(m: Sequence[Sequence[Fraction]]):
+    """Exact Gauss-Jordan elimination on integer rows.
+
+    Returns (rank, pivot column list, reduced rows) with reduced rows in RREF
+    as Fractions; the rows below the rank are zero.
+    """
+    rank, pivots, rows = _echelon_ints(m)
+    out = []
+    for i, row in enumerate(rows):
+        if i < rank:
+            p = row[pivots[i]]
+            out.append([Fraction(x, p) if x else Q0 for x in row])
+        else:
+            out.append([Q0] * len(row))
+    return rank, pivots, out
+
+
 def matrix_rank(m: Sequence[Sequence[Fraction]]) -> int:
-    return row_echelon(m)[0]
+    return _echelon_ints(m)[0]
 
 
 def nullspace_basis(m: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> Mat:

@@ -10,7 +10,7 @@ attribute `vopcert.certify` is the function, not the submodule.
 import sys
 
 from helpers import af, maxfn, minfn, qv, smooth
-from vopcert.certify import ROBUST_CERTIFIED, VOPInstance, certify
+from vopcert.certify import CONIC_GATE, ROBUST_CERTIFIED, VOPInstance, certify
 from vopcert.gapfn import gap_necessary_check
 from vopcert.geometry import (
     ConicBlockSet, PolyhedralSet, validate_ordering_cone,
@@ -69,6 +69,7 @@ def test_verdict_equality_and_repr_ignore_the_cones():
 
 def test_conic_support_runs_once(monkeypatch):
     sup = _count(monkeypatch, "geometry", "conic_support")
+    conv = _count(monkeypatch, "funcs", "kconvexity_check")
     blk = ConicBlockSet((smooth(af([1, 1], -1)), smooth(af([0, -1]))),
                         ORTHANT2)
     inst = VOPInstance((smooth(af([-1, 0])), smooth(af([0, -1]))), blk,
@@ -77,6 +78,24 @@ def test_conic_support_runs_once(monkeypatch):
     report_document(inst, qv(1, 0), verdict)
     assert verdict.status == ROBUST_CERTIFIED
     assert len(sup) == 1
+    # the constraint map's convexity is decided once, for the tangent cone's
+    # flags, and read back by the hypotheses
+    assert sum(1 for args in conv if args[0] == blk.g) == 1
+    assert verdict.hypotheses["feasible-set-convex"] is True
+
+
+def test_conic_convexity_decided_when_the_flags_stop_early(monkeypatch):
+    # 0 lies in the support subdifferential, so the gate fails before the
+    # flags reach the constraint map; the hypotheses decide it themselves
+    conv = _count(monkeypatch, "funcs", "kconvexity_check")
+    blk = ConicBlockSet((maxfn(af([1, 0]), af([-1, 0])), smooth(af([0, -1]))),
+                        ORTHANT2)
+    inst = VOPInstance((smooth(af([-1, 0])), smooth(af([0, -1]))), blk,
+                       ORTHANT2, 2)
+    verdict = certify(inst, qv(0, 0))
+    assert any(r.condition == CONIC_GATE and r.holds is False
+               for r in verdict.reports)
+    assert sum(1 for args in conv if args[0] == blk.g) == 1
 
 
 def test_gap_check_builds_the_polytope_once(monkeypatch):

@@ -92,6 +92,10 @@ def test_polyhedral_reduction_variants():
     fam = DiscretizedSet((af([1], -1), af([-1], 0)))
     rows, rhs = polyhedral_reduction(fam)
     assert rows == (qv(1), qv(-1)) and rhs == (1, 0)
+    vacuous = DiscretizedSet((af([0], -1), af([1], -1), af([-1], 0)))
+    assert polyhedral_reduction(vacuous) == (rows, rhs)
+    with pytest.raises(InstanceFormatError):
+        polyhedral_reduction(DiscretizedSet((af([0], 1), af([1], -1))))
 
 
 def test_certify_example_inconclusive_with_referral():

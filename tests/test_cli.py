@@ -129,6 +129,16 @@ def test_gap_command_is_advisory(tmp_path, capsys):
     assert "gap-necessary" in out
 
 
+def test_gap_on_discretized_family_with_a_vacuous_member(tmp_path, capsys):
+    # the member 0*x - 1 <= 0 holds everywhere and is dropped, not turned
+    # into a zero polyhedral row
+    disc = {**EX1, "feasible": {"type": "discretized", "constraints": [
+        {"a": [0], "b": -1}, {"a": [1], "b": -1}, {"a": [-1], "b": -1}]}}
+    assert main(["gap", _write(tmp_path, disc)]) in (0, 1, 2)
+    captured = capsys.readouterr()
+    assert "gap-necessary" in captured.out and not captured.err
+
+
 def test_gap_needs_bounded_polytope(tmp_path, capsys):
     assert main(["gap", _write(tmp_path, EX1)]) == 70
     assert "bounded polytope" in capsys.readouterr().err

@@ -15,3 +15,27 @@ def test_no_bare_assert_in_src():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, "bare assert vanishes under -O: " + ", ".join(found)
+
+
+def _nodes(path):
+    return ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+
+
+def test_no_float_in_src():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _nodes(path):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno} literal {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                found.append(f"{path.name}:{node.lineno} float(...)")
+    assert not found, "float in the exact pipeline: " + ", ".join(found)
+
+
+def test_no_true_division_in_linprog():
+    # the tableau holds ints, and int / int is a float
+    found = [node.lineno for node in _nodes(SRC / "linprog.py")
+             if isinstance(node, (ast.BinOp, ast.AugAssign))
+             and isinstance(node.op, ast.Div)]
+    assert not found, f"'/' in linprog.py at lines {found}"

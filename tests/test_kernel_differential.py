@@ -1,0 +1,140 @@
+"""The integer-row LP and elimination kernels against the Fraction reference.
+
+Every `lp_solve`, `feasible_point`, `row_echelon`, `matrix_rank`,
+`nullspace_basis` and `invert` call that certify, the oracle and the gap
+check make on seeded acceptance families is recorded with its result, then
+replayed through `fraction_reference`. Results must match exactly: the
+same status, value, point, Farkas vector and ray, the same reduced rows,
+down to the type of every entry.
+
+Functions are wrapped wherever a vopcert module binds them, and modules are
+reached through sys.modules (the package attribute `vopcert.certify` is the
+function, not the submodule).
+"""
+
+import random
+import sys
+from fractions import Fraction
+
+import fraction_reference as ref
+from helpers import Q, random_instance
+from vopcert.certify import NOT_ROBUST_CERTIFIED, ROBUST_CERTIFIED, certify
+from vopcert.gapfn import gap_necessary_check
+from vopcert.linprog import (
+    INFEASIBLE, OPTIMAL, UNBOUNDED, LpInternalError, feasible_point, lp_solve,
+)
+from vopcert.oracle import robust_oracle
+
+KERNEL = {
+    "linprog": ("lp_solve", "feasible_point"),
+    "rationals": ("row_echelon", "matrix_rank", "nullspace_basis", "invert"),
+}
+MODES = ("generic", "descent", "span")
+
+
+def _frozen(value):
+    """Snapshot of an argument, so a caller mutating it later cannot
+    change what is replayed."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(v) for v in value)
+    return value
+
+
+def _capture(monkeypatch):
+    calls = []
+    modules = [mod for key, mod in sys.modules.items()
+               if key == "vopcert" or key.startswith("vopcert.")]
+    for module, names in KERNEL.items():
+        for name in names:
+            original = getattr(sys.modules[f"vopcert.{module}"], name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                snapshot = (_name, _frozen(args), _frozen(sorted(kwargs.items())))
+                try:
+                    out = _original(*args, **kwargs)
+                except (ValueError, LpInternalError) as exc:
+                    calls.append(snapshot + (type(exc),))
+                    raise
+                calls.append(snapshot + (out,))
+                return out
+
+            for mod in modules:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def _run_families():
+    rng = random.Random(20261018)
+    for i in range(90):
+        inst, xbar = random_instance(rng, MODES[i % 3])
+        verdict = certify(inst, xbar)
+        if verdict.status == NOT_ROBUST_CERTIFIED or i % 9 == 2:
+            robust_oracle(inst, xbar, Q(1, 1000), budget=30, seed=11)
+        if verdict.status == ROBUST_CERTIFIED and inst.n == 2 and i % 2 == 0:
+            gap_necessary_check(inst, xbar, samples=10)
+
+
+def _replay(name, args, kwargs):
+    try:
+        return getattr(ref, name)(*args, **dict(kwargs))
+    except (ValueError, LpInternalError) as exc:
+        return type(exc)
+
+
+def _entries(value):
+    if isinstance(value, tuple):
+        for v in value:
+            yield from _entries(v)
+    elif value is not None:
+        yield value
+
+
+def test_kernels_match_the_fraction_reference(monkeypatch):
+    calls = _capture(monkeypatch)
+    _run_families()
+    monkeypatch.undo()
+    lps = [c for c in calls if c[0] in KERNEL["linprog"]]
+    statuses = {c[3].status for c in lps if c[0] == "lp_solve"}
+    assert len(lps) >= 10_000
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert {c[0] for c in calls} >= {"row_echelon", "matrix_rank",
+                                     "nullspace_basis", "invert"}
+    for name, args, kwargs, out in calls:
+        expected = _replay(name, args, kwargs)
+        # repr as well as ==: Fraction(2) == 2, but an int in a witness
+        # would be a different result
+        assert out == expected and repr(out) == repr(expected), (name, args)
+    # every number the LP kernel returns is a Fraction
+    for name, _, _, out in lps:
+        fields = ((out.value, out.x, out.farkas, out.ray)
+                  if name == "lp_solve" else (out,))
+        assert all(type(v) is Fraction for v in _entries(fields))
+
+
+def _random_system(rng, n):
+    rels = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = tuple(Q(rng.randint(-4, 4), rng.randint(1, 3))
+                       if rng.random() < 0.8 else Q(0) for _ in range(n))
+        rels.append((coeffs, rng.choice(("<=", "<=", ">=", "==")),
+                     Q(rng.randint(-6, 6), rng.randint(1, 2))))
+    return rels
+
+
+def test_random_systems_match_the_fraction_reference():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        rels = _random_system(rng, n)
+        c = tuple(Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+        got = lp_solve(c, rels)
+        expected = ref.lp_solve(c, rels)
+        assert got == expected and repr(got) == repr(expected)
+        seen.add(got.status)
+        nonneg = [rng.random() < 0.5 for _ in range(n)]
+        point = feasible_point(rels, n, nonneg)
+        assert point == ref.feasible_point(rels, n, nonneg)
+        assert repr(point) == repr(ref.feasible_point(rels, n, nonneg))
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}

@@ -79,6 +79,24 @@ def test_nonneg_flag_restricts_sign():
     assert res.x == (Q(0),)
 
 
+def test_nonneg_infeasibility_has_farkas_over_the_sign_rows():
+    # x <= -1 with x >= 0: only the sign constraint makes it infeasible
+    rels = [le((1,), -1)]
+    res = lp_solve((1,), rels, nonneg=[True])
+    assert res.status == INFEASIBLE
+    # one entry per normalized row, then one per sign-constrained variable
+    assert len(res.farkas) == 2
+    assert verify_farkas(rels + [ge((1,), 0)], 1, res.farkas)
+
+
+def test_nonneg_farkas_covers_only_the_marked_variables():
+    rels = [le((Q(1), Q(1)), Q(-1)), le((Q(0), Q(1)), Q(0)), ge((Q(0), Q(1)), Q(0))]
+    res = lp_solve((Q(0), Q(0)), rels, nonneg=[True, False])
+    assert res.status == INFEASIBLE
+    assert len(res.farkas) == 4
+    assert verify_farkas(rels + [ge((Q(1), Q(0)), Q(0))], 2, res.farkas)
+
+
 def test_determinism_bit_identical():
     rels = [le((Q(1), Q(2)), Q(4)), le((Q(3), Q(-1)), Q(6)), ge((Q(1), Q(0)), Q(-1))]
     a = lp_solve((Q(2), Q(1)), rels)
