@@ -3,12 +3,19 @@
 For a feasible x and a matrix xi whose columns are picked from the component
 generalized gradients, the gap set collects xi^T(x - y) over the points y
 that are efficient for the linear vector problem max_y xi^T(x - y).  A
-robust candidate must admit some xi placing zero in that set; this module
-evaluates the set exactly by face enumeration and searches xi over the
-vertex products of the gradient polytopes plus seeded convex combinations.
+robust candidate must admit some xi placing zero in that set.  Zero lies in
+it exactly when x itself is efficient for the linear problem: an efficient
+y with xi^T y = xi^T x gives x the image of y, so x is efficient too, and
+an efficient x is its own such y.  Each matrix thus costs one exact
+efficiency check at x.  The search tries the vertex products of the
+gradient polytopes, then seeded convex combinations drawn one at a time,
+and stops at the first matrix that works.  The face lattice of the polytope
+(`enumerate_faces`, `efficient_faces`) is public for inspection; the check
+never walks it.
 """
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,13 +34,13 @@ from .funcs import (
     _minkowski_vertices, _regular_convex_route,
 )
 from .geometry import FeasibleSet, OrderingCone, PolyhedralSet, feasible_contains
-from .linprog import UNBOUNDED, eq, feasible_point, le, lp_solve
+from .linprog import UNBOUNDED, le, lp_solve
 from .rationals import Vec, unit, vadd, vdot, vscale, zeros
 
 GAP_NECESSARY = "gap-necessary"
 
 # face enumeration walks row subsets; beyond this many rows the polytope
-# is out of desk scale for the gap machinery
+# is out of desk scale for it
 MAX_FACE_ROWS = 16
 
 
@@ -120,30 +127,22 @@ def enumerate_faces(rows, rhs, n: int) -> Tuple[Face, ...]:
 
 
 class _GapPolytope:
-    """The bounded polytope of a gap check with what every matrix reuses.
-
-    Faces are enumerated on first use, so a check settled at the base point
-    never meets the face-enumeration caps.
-    """
+    """The bounded polytope of a gap check with what every matrix reuses:
+    the reduced rows as a polyhedral set and the linear problem's region."""
 
     def __init__(self, omega: FeasibleSet, n: int):
         reduced = polyhedral_reduction(omega)
         if reduced is None:
             raise CapabilityError("gap machinery needs a polyhedral feasible set")
-        self.rows, self.rhs = reduced
+        rows, rhs = reduced
         self.n = n
-        rels = [le(row, b) for row, b in zip(self.rows, self.rhs)]
+        rels = [le(row, b) for row, b in zip(rows, rhs)]
         for i in range(n):
             for sign in (1, -1):
                 if lp_solve(unit(n, i, sign), rels).status == UNBOUNDED:
                     raise CapabilityError("gap machinery needs a bounded polytope")
-        self._faces = None
+        self.feasible = PolyhedralSet(tuple(rows), tuple(rhs))
         self._regions = None
-
-    def faces(self) -> Tuple[Face, ...]:
-        if self._faces is None:
-            self._faces = enumerate_faces(self.rows, self.rhs, self.n)
-        return self._faces
 
     def linear_instance(self, columns: Sequence[Vec], cone: OrderingCone):
         """The linear problem of one matrix and its selection regions.
@@ -155,80 +154,73 @@ class _GapPolytope:
         """
         comps = tuple(PieceFn(SMOOTH, (AffinePiece(tuple(col), Fraction(0)),))
                       for col in columns)
-        inst = VOPInstance(comps, PolyhedralSet(tuple(self.rows),
-                                                tuple(self.rhs)),
-                           cone, len(columns[0]))
+        inst = VOPInstance(comps, self.feasible, cone, len(columns[0]))
         if self._regions is None:
             self._regions = full_dim_selections(comps, self.n)
         return inst, self._regions
 
-    def efficient_faces(self, inst: VOPInstance, regions) -> EfficientFaceList:
-        # efficiency is constant on the relative interior of a face, so the
-        # vertex barycenter decides for the whole face
-        return tuple(face for face in self.faces()
-                     if efficiency_check(inst, face.barycenter(),
-                                         regions).efficient)
-
     def zero_in_gap(self, xbar: Vec, columns: Sequence[Vec],
                     cone: OrderingCone) -> bool:
+        """Whether 0 is in the gap set, i.e. xbar is efficient for the
+        linear problem: an efficient y with xi^T y = xi^T xbar gives xbar
+        the image of y, and an efficient xbar is its own such y."""
         inst, regions = self.linear_instance(columns, cone)
-        if efficiency_check(inst, xbar, regions).efficient:
-            return True
-        targets = tuple(vdot(col, xbar) for col in columns)
-        for face in self.efficient_faces(inst, regions):
-            k = len(face.vertices)
-            rels = [eq(tuple(vdot(col, v) for v in face.vertices), t)
-                    for col, t in zip(columns, targets)]
-            rels.append(eq(tuple(Fraction(1) for _ in range(k)), 1))
-            if feasible_point(rels, k, nonneg=[True] * k) is not None:
-                return True
-        return False
+        return efficiency_check(inst, xbar, regions).efficient
 
 
 def efficient_faces(columns: Sequence[Vec], omega: FeasibleSet,
                     cone: OrderingCone) -> EfficientFaceList:
     """Faces whose relative interior is efficient for the linear problem."""
     poly = _GapPolytope(omega, len(columns[0]))
-    return poly.efficient_faces(*poly.linear_instance(columns, cone))
+    inst, regions = poly.linear_instance(columns, cone)
+    faces = enumerate_faces(poly.feasible.rows, poly.feasible.rhs, poly.n)
+    # efficiency is constant on the relative interior of a face, so the
+    # vertex barycenter decides for the whole face
+    return tuple(face for face in faces
+                 if efficiency_check(inst, face.barycenter(), regions).efficient)
 
 
 def zero_in_gap(xbar: Vec, columns: Sequence[Vec], omega: FeasibleSet,
                 cone: OrderingCone) -> bool:
-    """Whether some efficient y for the linear problem has xi^T(xbar-y) = 0."""
+    """Whether some efficient y for the linear problem has xi^T(xbar-y) = 0.
+
+    That is, whether xbar itself is efficient for it; see
+    _GapPolytope.zero_in_gap.
+    """
     if not feasible_contains(omega, xbar):
         raise InfeasiblePointError("gap base point is infeasible")
     return _GapPolytope(omega, len(xbar)).zero_in_gap(xbar, columns, cone)
 
 
+def _vertex_sets(components: Sequence[PieceFn], xbar: Vec):
+    return [clarke_subdiff_component(fn, xbar).vertices for fn in components]
+
+
 def vertex_scalarizations(components: Sequence[PieceFn],
                           xbar: Vec) -> Tuple[Tuple[Vec, ...], ...]:
     """Every choice of one gradient-polytope vertex per component."""
-    vertex_sets = [clarke_subdiff_component(fn, xbar).vertices
-                   for fn in components]
-    return tuple(itertools.product(*vertex_sets))
+    return tuple(itertools.product(*_vertex_sets(components, xbar)))
+
+
+def _sampled_columns(vertex_sets, seed: int, count: int):
+    """Lazily drawn convex combinations, one column per vertex set."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        cols = []
+        for verts in vertex_sets:
+            weights = [rng.randint(0, 16) for _ in verts]
+            total = sum(weights)
+            if total == 0:
+                weights[0] = total = 1
+            cols.append(tuple(vdot(weights, coords) / total
+                              for coords in zip(*verts)))
+        yield tuple(cols)
 
 
 def sampled_scalarizations(components: Sequence[PieceFn], xbar: Vec,
                            seed: int, count: int) -> Tuple[Tuple[Vec, ...], ...]:
     """Seeded random convex combinations inside each gradient polytope."""
-    rng = random.Random(seed)
-    vertex_sets = [clarke_subdiff_component(fn, xbar).vertices
-                   for fn in components]
-    out = []
-    for _ in range(count):
-        cols = []
-        for verts in vertex_sets:
-            weights = [Fraction(rng.randint(0, 16)) for _ in verts]
-            total = sum(weights)
-            if total == 0:
-                weights[0] = Fraction(1)
-                total = Fraction(1)
-            col = zeros(len(xbar))
-            for w, v in zip(weights, verts):
-                col = vadd(col, vscale(w / total, v))
-            cols.append(col)
-        out.append(tuple(cols))
-    return tuple(out)
+    return tuple(_sampled_columns(_vertex_sets(components, xbar), seed, count))
 
 
 def scalarization_equality(components: Sequence[PieceFn], xbar: Vec,
@@ -297,12 +289,12 @@ def gap_necessary_check(inst: VOPInstance, xbar: Vec, seed: int = 0,
                 f"scalarization-equality={_word(eq3)}"
                 + ("" if eq3_exact else " (sampled)"))
 
-    vertex_xis = vertex_scalarizations(inst.objectives, xbar)
-    sampled_xis = () if smooth_all else sampled_scalarizations(
-        inst.objectives, xbar, seed, samples)
-    searched = f"searched {len(vertex_xis)} vertex matrices, " \
-               f"{len(sampled_xis)} sampled"
-    for xi in vertex_xis + sampled_xis:
+    vertex_sets = _vertex_sets(inst.objectives, xbar)
+    samples = 0 if smooth_all else max(samples, 0)
+    searched = f"searched {math.prod(map(len, vertex_sets))} vertex " \
+               f"matrices, {samples} sampled"
+    for xi in itertools.chain(itertools.product(*vertex_sets),
+                              _sampled_columns(vertex_sets, seed, samples)):
         if poly.zero_in_gap(xbar, xi, inst.cone):
             return ConditionReport(GAP_NECESSARY, True, witness=xi,
                                    note=f"{hyp_note}; {searched}")

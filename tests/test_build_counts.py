@@ -1,5 +1,5 @@
 """Each cone is built once per (instance, candidate), the gap polytope once
-per check.
+per check, and each gap matrix costs one efficiency check.
 
 Functions are counted wherever a vopcert module binds them: a
 `from .geometry import g1_cone` copies the binding into the importing
@@ -10,6 +10,7 @@ attribute `vopcert.certify` is the function, not the submodule.
 import sys
 
 from helpers import af, maxfn, minfn, qv, smooth
+from vopcert import gapfn
 from vopcert.certify import CONIC_GATE, ROBUST_CERTIFIED, VOPInstance, certify
 from vopcert.gapfn import gap_necessary_check
 from vopcert.geometry import (
@@ -107,13 +108,36 @@ def test_gap_check_builds_the_polytope_once(monkeypatch):
     assert certify(inst, xbar).status == ROBUST_CERTIFIED
     faces = _count(monkeypatch, "gapfn", "enumerate_faces")
     gap_lps = _count(monkeypatch, "linprog", "lp_solve", only_in="gapfn")
-    tried = _count(monkeypatch, "certify", "efficiency_check")
+    points = _count(monkeypatch, "linprog", "feasible_point")
+    checks = _count(monkeypatch, "certify", "efficiency_check")
+    # per matrix tried: (feasible_point calls, efficiency_check base points)
+    tried = []
+    decide = gapfn._GapPolytope.zero_in_gap
+
+    def spy(poly, point, columns, cone):
+        before = len(points), len(checks)
+        result = decide(poly, point, columns, cone)
+        tried.append((len(points) - before[0],
+                      [args[1] for args in checks[before[1]:]]))
+        return result
+
+    monkeypatch.setattr(gapfn._GapPolytope, "zero_in_gap", spy)
+    drawn = []
+    stream = gapfn._sampled_columns
+
+    def counted(*args):
+        for xi in stream(*args):
+            drawn.append(xi)
+            yield xi
+
+    monkeypatch.setattr(gapfn, "_sampled_columns", counted)
     rep = gap_necessary_check(inst, xbar)
-    assert rep.holds is True
-    # the square has 9 faces; more barycenter checks than that means
-    # several matrices reached the face stage, and they shared one list
-    assert sum(1 for args in tried if args[1] != xbar) > 9
-    assert len(faces) <= 1
+    assert rep.holds is True and "4 vertex matrices, 100 sampled" in rep.note
+    # 4 vertex matrices, then samples drawn only up to the 75th, which works;
+    # one efficiency check at the base point per matrix, no face stage
+    assert len(drawn) == 75 and rep.witness == drawn[-1]
+    assert tried == [(0, [xbar])] * 79
+    assert len(checks) == 79 and faces == []
     units = sorted(tuple(s * (i == k) for k in range(2))
                    for i in range(2) for s in (1, -1))
     assert sorted(tuple(args[0]) for args in gap_lps) == units

@@ -1,11 +1,14 @@
 """Source-level invariants that must hold under `python -O` as well."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import vopcert
 
 SRC = Path(vopcert.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def test_no_bare_assert_in_src():
@@ -39,3 +42,14 @@ def test_no_true_division_in_linprog():
              if isinstance(node, (ast.BinOp, ast.AugAssign))
              and isinstance(node.op, ast.Div)]
     assert not found, f"'/' in linprog.py at lines {found}"
+
+
+def test_every_tracer_target_resolves():
+    # bench/tracer.py looks each target up by name; one that is gone makes
+    # every traced benchmark run fail with AttributeError
+    spec = importlib.util.spec_from_file_location("_bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{layer}.{fname}" for layer, fname, _ in tracer.targets()
+               if not hasattr(importlib.import_module(f"vopcert.{layer}"), fname)]
+    assert not missing, "tracer targets missing from vopcert: " + ", ".join(missing)
