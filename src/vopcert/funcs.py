@@ -417,7 +417,7 @@ def _pa_scalar_convexity(components, g, cells, n):
                 z = vadd(res.x, vscale(t, res.ray))
             wit = _segment_midpoint_witness(components, g, cells[j].point, z)
             if wit is None:
-                raise AssertionError("affine convexity violation without midpoint witness")
+                raise ConsistencyError("affine convexity violation without midpoint witness")
             return NOT_CONVEX, wit
     return CONVEX, None
 

@@ -3,15 +3,14 @@
 Robustness of a candidate demands that it stay efficient for every additive
 perturbation Cx whose Frobenius norm is strictly below a radius.  This module
 is the refuting half of that quantifier: it walks a deterministic family of
-sparse perturbation matrices plus a seeded batch of random lattice ones,
-decides efficiency exactly per sample, and reports the first dominated sample
-under a fixed total order.  Finding nothing proves nothing.
+sparse perturbation matrices, then seeded random lattice ones drawn one at a
+time, decides efficiency exactly per candidate, and stops at the first
+dominated one under that fixed order.  Finding nothing proves nothing.
 """
 
+import itertools
 import math
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -26,8 +25,6 @@ NO_COUNTEREXAMPLE = "NoCounterexampleFound"
 
 # random entries live on the k/2^20 grid before rescaling
 LATTICE_BITS = 20
-
-WORKERS_ENV = "VOPCERT_ORACLE_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -156,69 +153,39 @@ def _evaluate(inst: VOPInstance, xbar: Vec,
     return y
 
 
-def _scan_chunk(args):
-    inst, xbar, regions, cands, base = args
-    for k, matrix in enumerate(cands):
-        y = _evaluate(inst, xbar, regions, matrix)
-        if y is not None:
-            return (base + k, matrix, y)
-    return None
-
-
-def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            workers = 1
-    return max(1, workers)
-
-
 def robust_oracle(inst: VOPInstance, xbar: Vec, r, budget: int = 1000,
-                  seed: int = 0, patterns: bool = True,
-                  workers: Optional[int] = None) -> OracleReport:
+                  seed: int = 0, patterns: bool = True) -> OracleReport:
     """Search the open Frobenius ball of radius r for a refuting C.
 
-    The candidate stream is the zero matrix, then the structured patterns,
-    then `budget` seeded lattice samples. The reported refutation is the
-    first under that order; with several workers the chunks are merged by
-    minimum index, so the report does not depend on scheduling.
+    The candidates are the zero matrix, then the structured patterns, then
+    `budget` seeded lattice samples drawn one at a time. Each is checked
+    against the ball before it is evaluated, and the scan stops at the
+    first refutation, so the report is the first refuting candidate in that
+    order and no sample after it is drawn.
     """
     r = Fraction(r)
     if r <= 0:
         raise InstanceFormatError("perturbation radius must be positive")
+    if budget < 0:
+        raise InstanceFormatError("sample budget must be nonnegative")
     exact = all(fn.is_affine() for fn in inst.objectives)
     regions = full_dim_selections(inst.objectives, inst.n) if exact else None
     pats = structured_patterns(inst.p, inst.n, r) if patterns else ()
-    rng = random.Random(seed)
-    samples = tuple(_random_matrix(rng, inst.p, inst.n, r)
-                    for _ in range(budget))
-    candidates = (zero_matrix(inst.p, inst.n),) + pats + samples
     npat = 1 + len(pats)
-    if not all(m.in_ball(r) for m in candidates):
-        raise ConsistencyError("perturbation candidate outside the open ball")
-
-    workers = _resolve_workers(workers)
-    hit = None
-    if workers == 1 or len(candidates) < 2 * workers:
-        hit = _scan_chunk((inst, xbar, regions, candidates, 0))
-    else:
-        size = -(-len(candidates) // workers)
-        chunks = [(inst, xbar, regions, candidates[i:i + size], i)
-                  for i in range(0, len(candidates), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            found = [h for h in pool.map(_scan_chunk, chunks) if h is not None]
-        if found:
-            hit = min(found, key=lambda h: h[0])
-
+    rng = random.Random(seed)
+    samples = (_random_matrix(rng, inst.p, inst.n, r) for _ in range(budget))
     note = None if exact else "suggestive"
-    if hit is not None:
-        idx, matrix, y = hit
-        return OracleReport(REFUTED, matrix, y,
-                            patterns_tried=min(idx + 1, npat),
-                            samples_tried=max(0, idx + 1 - npat),
-                            budget=budget, seed=seed, exact=exact, note=note)
+    candidates = itertools.chain((zero_matrix(inst.p, inst.n),), pats, samples)
+    for idx, matrix in enumerate(candidates):
+        if not matrix.in_ball(r):
+            raise ConsistencyError("perturbation candidate outside the open ball")
+        y = _evaluate(inst, xbar, regions, matrix)
+        if y is not None:
+            return OracleReport(REFUTED, matrix, y,
+                                patterns_tried=min(idx + 1, npat),
+                                samples_tried=max(0, idx + 1 - npat),
+                                budget=budget, seed=seed, exact=exact,
+                                note=note)
     return OracleReport(NO_COUNTEREXAMPLE, None, None,
                         patterns_tried=npat, samples_tried=budget,
                         budget=budget, seed=seed, exact=exact, note=note)

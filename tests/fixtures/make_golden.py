@@ -147,6 +147,28 @@ def gap_cases():
         seed += 1
 
 
+def oracle_cases():
+    """(name, instance, candidate, argv) for oracle and radius."""
+    example = VOPInstance(F_EX, WHOLE_LINE, K_EX, 1)
+    opposed = VOPInstance((smooth(af([1])), smooth(af([-1]))), WHOLE_LINE,
+                          ORTHANT2, 1)
+    quadratic = VOPInstance((smooth(qp([[1]], [0])), smooth(af([1]))),
+                            WHOLE_LINE, ORTHANT2, 1)
+    return [
+        ("worked-example-pattern", example, qv(0),
+         ["oracle", "--json", "--radius", "1/10"]),
+        ("worked-example-sample", example, qv(0),
+         ["oracle", "--json", "--radius", "1/10", "--no-patterns",
+          "--samples", "50", "--seed", "3"]),
+        ("opposed-full-budget", opposed, qv(0),
+         ["oracle", "--json", "--radius", "1/10"]),
+        ("quadratic-suggestive", quadratic, qv(0),
+         ["oracle", "--json", "--radius", "1/10", "--samples", "2"]),
+        ("worked-example-trace", example, qv(0),
+         ["radius", "--json", "--max", "1/10", "--samples", "20"]),
+    ]
+
+
 def run(argv, doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "inst.vop")
@@ -176,6 +198,11 @@ def build():
         code, out = run(["gap", "--json"], doc)
         entries.append({"name": name, "argv": ["gap", "--json"],
                         "instance": doc, "exit": code, "stdout": out})
+    for name, inst, xbar, argv in oracle_cases():
+        doc = instance_doc(inst, xbar)
+        code, out = run(argv, doc)
+        entries.append({"name": name, "argv": argv, "instance": doc,
+                        "exit": code, "stdout": out})
     return entries
 
 

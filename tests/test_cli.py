@@ -110,6 +110,14 @@ def test_radius_command(tmp_path, capsys):
     assert doc["refuted_at"] is None and doc["clean_below"] == "1/2"
 
 
+def test_negative_sample_budget_exits_65(tmp_path, capsys):
+    path = _write(tmp_path, EX1)
+    assert main(["oracle", path, "--radius", "1/10", "--samples", "-5"]) == 65
+    assert "sample budget" in capsys.readouterr().err
+    assert main(["radius", path, "--max", "1/10", "--samples", "-3"]) == 65
+    assert "sample budget" in capsys.readouterr().err
+
+
 def test_describe_round_trip(tmp_path, capsys):
     path = _write(tmp_path, EX1)
     assert main(["describe", path]) == 0

@@ -1,4 +1,4 @@
-"""Golden outputs: certify, describe and gap JSON stay byte-identical.
+"""Golden CLI outputs stay byte-identical.
 
 The fixture holds instance documents with the exit code and stdout the CLI
 produced for them; tests/fixtures/make_golden.py regenerates it.
@@ -39,6 +39,8 @@ def test_corpus_covers_every_command():
     assert commands.count("certify") >= 30
     assert commands.count("describe") >= 30
     assert commands.count("gap") >= 4
+    assert commands.count("oracle") >= 4
+    assert commands.count("radius") >= 1
 
 
 @pytest.mark.parametrize("case", CASES,

@@ -11,17 +11,46 @@ SRC = Path(vopcert.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
-def test_no_bare_assert_in_src():
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
-    assert not found, "bare assert vanishes under -O: " + ", ".join(found)
-
-
 def _nodes(path):
     return ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+
+
+def _raises_assertion_error(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_no_bare_assert_in_src():
+    # a bare assert vanishes under -O, and an AssertionError escapes the CLI
+    # as a traceback with exit 1, which reads as NotRobustCertified
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [f"{path.name}:{node.lineno}" for node in _nodes(path)
+                  if isinstance(node, ast.Assert)
+                  or (isinstance(node, ast.Raise) and node.exc is not None
+                      and _raises_assertion_error(node))]
+    assert not found, "assert or AssertionError in src: " + ", ".join(found)
+
+
+def test_single_process_without_environment_knobs():
+    pools = ("concurrent", "multiprocessing", "threading")
+    knobs = ("environ", "getenv")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _nodes(path):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import):
+                found += [f"{where} imports {alias.name}" for alias in node.names
+                          if alias.name.split(".")[0] in pools]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                root = node.module.split(".")[0]
+                if root in pools or (root == "os" and any(
+                        alias.name in knobs for alias in node.names)):
+                    found.append(f"{where} imports from {node.module}")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "os" and node.attr in knobs):
+                found.append(f"{where} reads os.{node.attr}")
+    assert not found, "a second process or an environment knob: " + ", ".join(found)
 
 
 def test_no_float_in_src():

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from helpers import Q, af, maxfn, minfn, qp, qv, smooth
+from vopcert import oracle
 from vopcert.certify import VOPInstance, certify, NOT_ROBUST_CERTIFIED
-from vopcert.errors import InstanceFormatError
+from vopcert.errors import ConsistencyError, InstanceFormatError
 from vopcert.funcs import eval_components
 from vopcert.geometry import PolyhedralSet, validate_ordering_cone
 from vopcert.oracle import (
@@ -112,13 +113,36 @@ def test_reports_are_reproducible():
     assert a == b and a.refuted and a.samples_tried > 0
 
 
-def test_worker_merge_matches_sequential():
-    seq = robust_oracle(EX_INSTANCE, qv(0), Q(1, 10), budget=50, seed=3,
+def _count_draws(monkeypatch):
+    draws = []
+
+    def counted(rng, p, n, r):
+        draws.append(None)
+        return _random_matrix(rng, p, n, r)
+
+    monkeypatch.setattr(oracle, "_random_matrix", counted)
+    return draws
+
+
+def test_scan_draws_only_the_samples_it_evaluates(monkeypatch):
+    draws = _count_draws(monkeypatch)
+    rep = robust_oracle(EX_INSTANCE, qv(0), Q(1, 10), budget=50, seed=3)
+    assert rep.refuted and rep.samples_tried == 0 and len(draws) == 0
+    rep = robust_oracle(EX_INSTANCE, qv(0), Q(1, 10), budget=50, seed=3,
                         patterns=False)
-    par = robust_oracle(EX_INSTANCE, qv(0), Q(1, 10), budget=50, seed=3,
-                        patterns=False, workers=2)
-    assert (seq.matrix, seq.witness, seq.samples_tried) == \
-           (par.matrix, par.witness, par.samples_tried)
+    assert rep.refuted and rep.samples_tried == 2 and len(draws) == 2
+    del draws[:]
+    inst = VOPInstance((smooth(af([1])), smooth(af([-1]))), WHOLE_LINE,
+                       ORTHANT2, 1)
+    rep = robust_oracle(inst, qv(0), Q(1, 10), budget=40, seed=5)
+    assert rep.outcome == NO_COUNTEREXAMPLE and len(draws) == 40
+
+
+def test_candidate_outside_ball_raises(monkeypatch):
+    far = PerturbationMatrix((qv(Q(1, 10)), qv(0)))
+    monkeypatch.setattr(oracle, "_random_matrix", lambda rng, p, n, r: far)
+    with pytest.raises(ConsistencyError):
+        robust_oracle(EX_INSTANCE, qv(0), Q(1, 10), budget=1, patterns=False)
 
 
 def test_nonaffine_reports_are_suggestive():
@@ -131,6 +155,13 @@ def test_nonaffine_reports_are_suggestive():
 def test_rejects_nonpositive_radius():
     with pytest.raises(InstanceFormatError):
         robust_oracle(EX_INSTANCE, qv(0), 0)
+
+
+def test_rejects_negative_sample_budget():
+    with pytest.raises(InstanceFormatError, match="sample budget"):
+        robust_oracle(EX_INSTANCE, qv(0), Q(1, 10), budget=-5)
+    with pytest.raises(InstanceFormatError, match="sample budget"):
+        radius_estimate(EX_INSTANCE, qv(0), Q(1, 10), budget=-3)
 
 
 def test_radius_estimate_example_refuted_everywhere():
