@@ -39,8 +39,8 @@ from .geometry import (
 )
 from .linprog import INFEASIBLE, OPTIMAL, le, lp_solve
 from .rationals import (
-    Mat, Q0, Q1, Vec, dedup_rows, is_zero_vec, vadd, vdot, vscale, vsub,
-    zeros,
+    Mat, Q1, Vec, dedup_rows, is_zero_vec, lincomb, vadd, vdot, vneg, vscale,
+    vsub,
 )
 
 ROBUST_CERTIFIED = "RobustCertified"
@@ -139,14 +139,10 @@ def polyhedral_reduction(omega: FeasibleSet) -> Optional[Tuple[Tuple[Vec, ...], 
         rows = []
         rhs = []
         n = len(omega.g[0].pieces[0].a)
+        pieces = [fn.pieces[0] for fn in omega.g]
         for lam in omega.q_cone.dual_neg_gens.generators:
-            row = zeros(n)
-            off = Q0
-            for li, fn in zip(lam, omega.g):
-                p = fn.pieces[0]
-                if li:
-                    row = vadd(row, vscale(li, p.a))
-                    off += li * p.b
+            row = lincomb(lam, [p.a for p in pieces], n)
+            off = vdot(lam, [p.b for p in pieces])
             if is_zero_vec(row):
                 if off > 0:
                     raise InstanceFormatError("conic block is empty")
@@ -215,30 +211,19 @@ def efficiency_check(inst: VOPInstance, xbar: Vec,
     cone_rows = inst.cone.hrep.rows
     if regions is None:
         regions = full_dim_selections(inst.objectives, n)
-    ssum = zeros(inst.p)
-    for m in cone_rows:
-        ssum = vadd(ssum, m)
+    ssum = lincomb([Q1] * len(cone_rows), cone_rows, inst.p)
     for sel in regions:
-        sel_a = [fn.pieces[s].a for fn, s in zip(inst.objectives, sel.indices)]
-        sel_b = [fn.pieces[s].b for fn, s in zip(inst.objectives, sel.indices)]
+        pieces = [fn.pieces[s] for fn, s in zip(inst.objectives, sel.indices)]
+        sel_a = [p.a for p in pieces]
+        sel_gap = [p.b - fi for p, fi in zip(pieces, fxbar)]
         rels = [le(row, rhs) for row, rhs in sel.rows]
         rels += [le(row, rhs) for row, rhs in zip(omega_rows, omega_rhs)]
         # cone rows on w = f(xbar) - (A y + b): m.w <= 0
-        for m in cone_rows:
-            row = zeros(n)
-            off = Q0
-            for mi, ai, bi, fi in zip(m, sel_a, sel_b, fxbar):
-                if mi:
-                    row = vadd(row, vscale(-mi, ai))
-                    off += mi * (bi - fi)
-            rels.append(le(row, off))
+        rels += [le(lincomb(vneg(m), sel_a, n), vdot(m, sel_gap))
+                 for m in cone_rows]
         # objective: sigma(y) = -(sum of cone rows) . w, linear part in y
-        c = zeros(n)
-        const = Q0
-        for si, ai, bi, fi in zip(ssum, sel_a, sel_b, fxbar):
-            if si:
-                c = vadd(c, vscale(si, ai))
-                const += si * (bi - fi)
+        c = lincomb(ssum, sel_a, n)
+        const = vdot(ssum, sel_gap)
         res = lp_solve(c, rels)
         if res.status == INFEASIBLE:
             continue

@@ -20,8 +20,8 @@ from .errors import (
 )
 from .gapfn import gap_necessary_check
 from .instances import (
-    ParsedInstance, cone_data, describe_document, encode, oracle_document,
-    parse_instance, report_document, verify_report,
+    ParsedInstance, _report_doc, cone_data, describe_document, encode,
+    oracle_document, parse_instance, report_document, verify_report,
 )
 from .linprog import LpInternalError
 from .oracle import radius_estimate, robust_oracle
@@ -193,13 +193,7 @@ def _cmd_gap(parsed: ParsedInstance, args) -> int:
     rep = gap_necessary_check(parsed.instance, parsed.candidate,
                               seed=args.seed)
     if args.json:
-        print(json.dumps(encode({
-            "condition": rep.condition,
-            "holds": rep.holds,
-            "witness": rep.witness,
-            "exact": rep.exact,
-            "note": rep.note,
-        }), indent=1))
+        print(json.dumps(encode(_report_doc(rep)), indent=1))
     else:
         print(f"condition {rep.condition}: {_tri(rep.holds)}")
         if rep.witness is not None:

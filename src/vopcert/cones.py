@@ -49,6 +49,11 @@ class ConeVRep:
         return feasible_point(rels, len(gens), nonneg=[True] * len(gens)) is not None
 
 
+def _box(n: int):
+    """The rows -1 <= d_j <= 1 of the unit box, coordinate by coordinate."""
+    return [le(unit(n, j, sign), Q1) for j in range(n) for sign in (1, -1)]
+
+
 def cone_is_trivial(cone: ConeHRep) -> Tuple[bool, Optional[Vec]]:
     """Is {d : rows d <= 0} equal to {0}?
 
@@ -62,12 +67,8 @@ def cone_is_trivial(cone: ConeHRep) -> Tuple[bool, Optional[Vec]]:
     if not rows:
         return False, unit(n, 0)
     base = [le(r, Q0) for r in rows]
+    box = _box(n)
     for k in range(n):
-        box = []
-        for j in range(n):
-            ej = unit(n, j)
-            box.append(le(ej, Q1))
-            box.append(le(vneg(ej), Q1))
         for s in (1, -1):
             rels = base + [eq(unit(n, k), Fraction(s))] + box
             x = feasible_point(rels, n)
@@ -172,11 +173,7 @@ def hrep_subset(inner: ConeHRep, outer: ConeHRep) -> Tuple[bool, Optional[Vec]]:
     cone boxed to [-1,1]^n; any positive optimum separates.
     """
     n = inner.dim
-    rels = [le(r, Q0) for r in dedup_rows(inner.rows)]
-    for j in range(n):
-        ej = unit(n, j)
-        rels.append(le(ej, Q1))
-        rels.append(le(vneg(ej), Q1))
+    rels = [le(r, Q0) for r in dedup_rows(inner.rows)] + _box(n)
     for row in dedup_rows(outer.rows):
         res = lp_solve(row, rels)
         if res.status != OPTIMAL:  # boxed and contains 0

@@ -10,6 +10,10 @@ Scalarizations m^T f are exact on three routes (all-smooth, all-affine
 pieces via essentially active selections, nonnegative weights over convex
 components via the Minkowski sum); anything else degrades to a flagged
 inner/outer bound pair that downstream certification refuses to build on.
+Every route scalarizes with one weighted sum, `rationals.lincomb`, of the
+gradients it selects. The essentially active selections depend on the
+components and the point but not on the weights, so `scalarized_subdiffs`
+enumerates them once for a whole list of weights.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .errors import ConsistencyError
 from .linprog import OPTIMAL, eq, le, lp_solve, feasible_point
 from .rationals import (
-    Mat, Q0, Q1, Vec, is_zero_vec, mat_vec, psd_witness, unit,
-    vadd, vdot, vneg, vscale, vsub, zeros,
+    Mat, Q0, Q1, Vec, is_zero_vec, lincomb, mat_vec, psd_witness, unit,
+    vadd, vdot, vneg, vscale, vsub,
 )
 
 
@@ -174,22 +178,13 @@ def _selection_rows(components, indices) -> Optional[List[Tuple[Vec, Fraction]]]
     return rows
 
 
-def _interiority(rows, n, box_center=None):
-    """(slack, point) maximizing the uniform slack of rows, or None.
-
-    With box_center, the search is confined to a unit box around it, which
-    also settles whether the center lies in the closure of the interior.
-    """
+def _interiority(rows, n):
+    """(slack, point) maximizing the uniform slack of rows, or None."""
     rels = []
     for row, rhs in rows:
         rels.append(le(tuple(row) + (Q1,), rhs))
     tcol = unit(n + 1, n)
     rels.append(le(tcol, Q1))
-    if box_center is not None:
-        for j in range(n):
-            ej = unit(n + 1, j)
-            rels.append(le(ej, box_center[j] + 1))
-            rels.append(le(vneg(ej), 1 - box_center[j]))
     res = lp_solve(tcol, rels)
     if res.status != OPTIMAL:  # t <= 1 bounds the slack, and t can go down
         raise ConsistencyError("interiority program is not optimal")
@@ -216,9 +211,15 @@ def full_dim_selections(components: Sequence[PieceFn], n: int) -> Tuple[Selectio
 def essentially_active_selections(components: Sequence[PieceFn], xbar: Vec) -> Tuple[Selection, ...]:
     """Selections active at xbar whose region is full-dimensional.
 
-    Activity is checked by substitution; full dimension by the slack LP in a
-    unit box around xbar. For closed convex regions this puts xbar in the
-    closure of the region's interior, which is the essential-activity test.
+    Activity is checked by substitution, which puts xbar in the selection
+    region R (every selected piece attains its component's value there).
+    Full dimension is decided by the plain slack LP, and that is already
+    the essential-activity test: xbar must lie in the closure of R's
+    interior. R is a polyhedron, so it is closed and convex. If some z is
+    interior to R, every point xbar + t(z - xbar) with 0 < t <= 1 is
+    interior too, and these points tend to xbar as t -> 0. So xbar is in
+    the closure of the interior as soon as the interior is nonempty, and
+    confining the search to a box around xbar decides nothing more.
     """
     n = len(xbar)
     values = [fn.value(xbar) for fn in components]
@@ -230,7 +231,7 @@ def essentially_active_selections(components: Sequence[PieceFn], xbar: Vec) -> T
         rows = _selection_rows(components, indices)
         if rows is None:
             continue
-        got = _interiority(rows, n, box_center=xbar)
+        got = _interiority(rows, n)
         if got is None:
             continue
         slack, point = got
@@ -275,53 +276,56 @@ def _linearized(components, xbar) -> Components:
 
 
 def _minkowski_vertices(components, mu, xbar) -> Mat:
-    n = len(xbar)
-    scaled = [[vscale(m, g) for g in clarke_subdiff_component(fn, xbar).vertices]
-              for m, fn in zip(mu, components) if m]
-    verts = set()
-    out = []
-    for choice in itertools.product(*scaled):
-        v = zeros(n)
-        for g in choice:
-            v = vadd(v, g)
-        if v not in verts:
-            verts.add(v)
-            out.append(v)
-    return tuple(out)
+    weighted = [(m, clarke_subdiff_component(fn, xbar).vertices)
+                for m, fn in zip(mu, components) if m]
+    weights = [m for m, _ in weighted]
+    choices = itertools.product(*(verts for _, verts in weighted))
+    return tuple(dict.fromkeys(lincomb(weights, choice, len(xbar))
+                               for choice in choices))
 
 
-def scalarized_subdiff(mu: Vec, components: Sequence[PieceFn], xbar: Vec) -> SubdiffPolytope:
-    """Generalized gradient of x -> mu^T f(x) at xbar.
+def scalarized_subdiffs(mus: Sequence[Vec], components: Sequence[PieceFn],
+                        xbar: Vec) -> Tuple[SubdiffPolytope, ...]:
+    """Generalized gradient of x -> mu^T f(x) at xbar, one per weight mu.
 
     Exact on the three supported routes; otherwise a flagged bound pair
     (outer Minkowski sum / inner linearized-selection hull) that must never
     feed a certificate. With all weights zero the result is the origin.
+    On the affine route the gradient is the hull of sum_i mu_i a_{i,s_i}
+    over the essentially active selections s (Scholtes 2012, ch. 4). The
+    selections do not depend on mu, so they are enumerated once for all
+    weights, and so are those of the linearization behind the inner bounds.
     """
     n = len(xbar)
+    if not mus:
+        return ()
     if _all_smooth(components):
-        g = zeros(n)
-        for m, fn in zip(mu, components):
-            if m:
-                g = vadd(g, vscale(m, fn.pieces[0].grad(xbar)))
-        return SubdiffPolytope(n, (g,))
+        grads = [fn.pieces[0].grad(xbar) for fn in components]
+        return tuple(SubdiffPolytope(n, (lincomb(mu, grads, n),)) for mu in mus)
     if _all_affine(components):
-        sels = essentially_active_selections(components, xbar)
-        verts = []
-        seen = set()
-        for sel in sels:
-            g = zeros(n)
-            for m, fn, s in zip(mu, components, sel.indices):
-                if m:
-                    g = vadd(g, vscale(m, fn.pieces[s].a))
-            if g not in seen:
-                seen.add(g)
-                verts.append(g)
-        return SubdiffPolytope(n, tuple(verts))
-    if _regular_convex_route(components, mu):
-        return SubdiffPolytope(n, _minkowski_vertices(components, mu, xbar))
-    outer = _minkowski_vertices(components, mu, xbar)
-    inner = scalarized_subdiff(mu, _linearized(components, xbar), xbar).vertices
-    return SubdiffPolytope(n, outer, exact=False, inner_vertices=inner)
+        selected = [[fn.pieces[s].a for fn, s in zip(components, sel.indices)]
+                    for sel in essentially_active_selections(components, xbar)]
+        return tuple(SubdiffPolytope(n, tuple(dict.fromkeys(
+            lincomb(mu, grads, n) for grads in selected))) for mu in mus)
+    regular = [_regular_convex_route(components, mu) for mu in mus]
+    inner = iter(scalarized_subdiffs(
+        [mu for mu, ok in zip(mus, regular) if not ok],
+        _linearized(components, xbar), xbar))
+    out = []
+    for mu, ok in zip(mus, regular):
+        outer = _minkowski_vertices(components, mu, xbar)
+        if ok:
+            out.append(SubdiffPolytope(n, outer))
+        else:
+            out.append(SubdiffPolytope(n, outer, exact=False,
+                                       inner_vertices=next(inner).vertices))
+    return tuple(out)
+
+
+def scalarized_subdiff(mu: Vec, components: Sequence[PieceFn], xbar: Vec) -> SubdiffPolytope:
+    """Generalized gradient of x -> mu^T f(x) at xbar; the one-weight form
+    of scalarized_subdiffs."""
+    return scalarized_subdiffs((mu,), components, xbar)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +392,9 @@ def _pa_scalar_convexity(components, g, cells, n):
     """
     linear = []
     for sel in cells:
-        grad = zeros(n)
-        off = Q0
-        for gi, fn, s in zip(g, components, sel.indices):
-            if gi:
-                grad = vadd(grad, vscale(gi, fn.pieces[s].a))
-                off += gi * fn.pieces[s].b
-        linear.append((grad, off))
+        pieces = [fn.pieces[s] for fn, s in zip(components, sel.indices)]
+        linear.append((lincomb(g, [p.a for p in pieces], n),
+                       vdot(g, [p.b for p in pieces])))
     for j, (gj, oj) in enumerate(linear):
         for k, (gk, ok) in enumerate(linear):
             if j == k:

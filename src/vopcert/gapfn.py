@@ -30,12 +30,12 @@ from .errors import (
 from .funcs import (
     AffinePiece, CONVEX, PieceFn, SMOOTH, SubdiffPolytope,
     clarke_subdiff_component, full_dim_selections, kconvexity_check,
-    polytopes_equal, scalarized_subdiff, subdiff_contains,
+    polytopes_equal, scalarized_subdiffs, subdiff_contains,
     _minkowski_vertices, _regular_convex_route,
 )
 from .geometry import FeasibleSet, OrderingCone, PolyhedralSet, feasible_contains
 from .linprog import UNBOUNDED, le, lp_solve
-from .rationals import Vec, unit, vadd, vdot, vscale, zeros
+from .rationals import Vec, lincomb, unit, vdot, vscale, zeros
 
 GAP_NECESSARY = "gap-necessary"
 
@@ -72,11 +72,9 @@ class Face:
     vertices: Tuple[Vec, ...]
 
     def barycenter(self) -> Vec:
-        k = Fraction(len(self.vertices))
-        acc = zeros(len(self.vertices[0]))
-        for v in self.vertices:
-            acc = vadd(acc, v)
-        return vscale(1 / k, acc)
+        k = len(self.vertices)
+        acc = lincomb([Fraction(1)] * k, self.vertices, len(self.vertices[0]))
+        return vscale(Fraction(1, k), acc)
 
 
 EfficientFaceList = Tuple[Face, ...]
@@ -244,14 +242,10 @@ def scalarization_equality(components: Sequence[PieceFn], xbar: Vec,
         weights = [Fraction(rng.randint(0, 8)) for _ in gens]
         if all(w == 0 for w in weights):
             weights[0] = Fraction(1)
-        mu = zeros(len(components))
-        for w, g in zip(weights, gens):
-            mu = vadd(mu, vscale(w, g))
-        mus.append(mu)
+        mus.append(lincomb(weights, gens, len(components)))
     n = len(xbar)
     decided_all = True
-    for mu in mus:
-        scal = scalarized_subdiff(mu, components, xbar)
+    for mu, scal in zip(mus, scalarized_subdiffs(mus, components, xbar)):
         if not scal.exact:
             decided_all = False
             continue

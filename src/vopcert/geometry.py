@@ -29,12 +29,11 @@ from .errors import (
 )
 from .funcs import (
     CONVEX, AffinePiece, PieceFn, clarke_subdiff_component, eval_components,
-    kconvexity_check, scalarized_subdiff,
+    kconvexity_check, scalarized_subdiffs,
 )
 from .linprog import INFEASIBLE, eq, le, lp_solve, feasible_point
 from .rationals import (
-    Mat, Q0, Q1, Vec, dedup_rows, is_zero_vec, vadd, vdot, vneg, vscale,
-    zeros,
+    Mat, Q0, Q1, Vec, dedup_rows, is_zero_vec, lincomb, vdot, vneg, zeros,
 )
 
 
@@ -83,9 +82,7 @@ def validate_ordering_cone(dim: int, rows: Optional[Mat] = None,
 
     polar = dd_generators_from_halfspaces(ConeHRep(dim, vrep.generators))
     dual_gens = tuple(sorted(vneg(g) for g in polar.generators))
-    sample = zeros(dim)
-    for g in dual_gens:
-        sample = vadd(sample, g)
+    sample = lincomb([Q1] * len(dual_gens), dual_gens, dim)
     if any(vdot(sample, v) <= 0 for v in vrep.generators):
         raise ConsistencyError("dual sample not strictly positive on the cone")
     return OrderingCone(dim, hrep, vrep, ConeVRep(dim, dual_gens), sample)
@@ -178,12 +175,9 @@ def conic_support(block: ConicBlockSet, xbar: Vec) -> ConicSupport:
     vals = [vdot(lam, gx) for lam in reps]
     if any(v > 0 for v in vals):
         raise InfeasiblePointError("base point violates the conic block")
-    exact = True
-    verts_by_rep = []
-    for lam in reps:
-        sub = scalarized_subdiff(lam, block.g, xbar)
-        exact = exact and sub.exact
-        verts_by_rep.append(sub.vertices)
+    subs = scalarized_subdiffs(reps, block.g, xbar)
+    exact = all(sub.exact for sub in subs)
+    verts_by_rep = [sub.vertices for sub in subs]
     active = tuple(lam for lam, v in zip(reps, vals) if v == 0)
     up = []
     for lam, verts in zip(reps, verts_by_rep):
@@ -211,17 +205,11 @@ def slater_point(block: ConicBlockSet) -> Optional[Vec]:
     if not all(fn.is_affine() and len(fn.pieces) == 1 for fn in block.g):
         return None
     n = len(block.g[0].pieces[0].a)
-    rels = []
-    for m in block.q_cone.hrep.rows:
-        # m . (-g(x)) <= -1, with g affine: -(sum m_i (a_i x + b_i)) <= -1
-        row = zeros(n)
-        off = Q0
-        for mi, fn in zip(m, block.g):
-            p = fn.pieces[0]
-            if mi:
-                row = vadd(row, vscale(-mi, p.a))
-                off += mi * p.b
-        rels.append(le(row, off - 1))
+    pieces = [fn.pieces[0] for fn in block.g]
+    # m . (-g(x)) <= -1, with g affine: -(sum m_i (a_i x + b_i)) <= -1
+    rels = [le(lincomb(vneg(m), [p.a for p in pieces], n),
+               vdot(m, [p.b for p in pieces]) - 1)
+            for m in block.q_cone.hrep.rows]
     return feasible_point(rels, n)
 
 
@@ -299,14 +287,8 @@ def g1_cone(components: Sequence[PieceFn], cone: OrderingCone, xbar: Vec) -> Con
     """
     n = len(xbar)
     per_comp = [clarke_subdiff_component(fn, xbar).vertices for fn in components]
-    rows = []
-    for mu in cone.dual_neg_gens.generators:
-        for choice in product(*per_comp):
-            xi = zeros(n)
-            for m, v in zip(mu, choice):
-                if m:
-                    xi = vadd(xi, vscale(m, v))
-            rows.append(xi)
+    rows = [lincomb(mu, choice, n) for mu in cone.dual_neg_gens.generators
+            for choice in product(*per_comp)]
     return ConeHRep(n, dedup_rows(rows))
 
 
@@ -335,8 +317,8 @@ def g2_cone(components: Sequence[PieceFn], cone: OrderingCone, xbar: Vec) -> G2R
     rows_outer_bound = []   # from outer gradient bounds -> inner cone
     rows_inner_bound = []   # from inner gradient bounds -> outer cone
     exact = True
-    for g in cone.dual_neg_gens.generators:
-        sub = scalarized_subdiff(g, components, xbar)
+    for sub in scalarized_subdiffs(cone.dual_neg_gens.generators, components,
+                                   xbar):
         rows_outer_bound.extend(sub.vertices)
         if sub.exact:
             rows_inner_bound.extend(sub.vertices)

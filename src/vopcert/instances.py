@@ -301,9 +301,9 @@ def describe_document(inst: VOPInstance, xbar: Vec) -> dict:
 # substitution-only re-checks
 
 
-def _check_direction(problems: List[str], label: str, witness, rows):
+def _check_direction(problems: List[str], label: str, witness, rows, n: int):
     try:
-        d = decode_vector(witness, label)
+        d = _vec(witness, label, n)
     except InstanceFormatError as exc:
         problems.append(str(exc))
         return
@@ -321,7 +321,9 @@ def verify_report(parsed: ParsedInstance, doc: dict) -> List[str]:
 
     Cone rows are taken from the report itself; directions, dominating
     points, and perturbation matrices are validated with evaluation and
-    comparison only. An empty list means every recorded witness stands.
+    comparison only. Every row and vector is decoded at the instance's
+    length, so data of the wrong shape is a problem, not a crash. An empty
+    list means every recorded witness stands.
     """
     if not isinstance(doc, dict):
         raise InstanceFormatError("report: expected an object")
@@ -338,9 +340,8 @@ def verify_report(parsed: ParsedInstance, doc: dict) -> List[str]:
         problems.append("cones: expected an object")
         return problems
     try:
-        tangent = decode_matrix(cones.get("tangent_rows", []), "tangent_rows")
-        g1 = decode_matrix(cones.get("g1_rows", []), "g1_rows")
-        g2 = decode_matrix(cones.get("g2_rows", []), "g2_rows")
+        tangent, g1, g2 = (_mat(cones.get(key, []), key, inst.n)
+                           for key in ("tangent_rows", "g1_rows", "g2_rows"))
     except InstanceFormatError as exc:
         problems.append(str(exc))
         return problems
@@ -356,7 +357,7 @@ def verify_report(parsed: ParsedInstance, doc: dict) -> List[str]:
             problems.append("refuting verdict carries no witness")
         else:
             _check_direction(problems, "verdict witness", doc["witness"],
-                             rowsets[NECESSARY_INTERSECTION])
+                             rowsets[NECESSARY_INTERSECTION], inst.n)
     reports = doc.get("reports", [])
     if not isinstance(reports, list):
         problems.append("reports: expected a list")
@@ -368,7 +369,8 @@ def verify_report(parsed: ParsedInstance, doc: dict) -> List[str]:
         cond = rep.get("condition")
         if cond in rowsets and rep.get("holds") is False \
                 and rep.get("witness") is not None:
-            _check_direction(problems, cond, rep["witness"], rowsets[cond])
+            _check_direction(problems, cond, rep["witness"], rowsets[cond],
+                             inst.n)
 
     if "oracle" in doc:
         problems.extend(_verify_oracle_doc(inst, xbar, doc["oracle"]))
@@ -383,8 +385,10 @@ def _verify_oracle_doc(inst: VOPInstance, xbar: Vec, odoc: dict) -> List[str]:
         return problems
     try:
         r = parse_rational(odoc.get("radius"))
-        rows = decode_matrix(odoc.get("matrix"), "oracle.matrix")
-        y = decode_vector(odoc.get("witness"), "oracle.witness")
+        rows = _mat(odoc.get("matrix"), "oracle.matrix", inst.n)
+        if len(rows) != inst.p:
+            raise _fail("oracle.matrix", f"expected {inst.p} rows, got {len(rows)}")
+        y = _vec(odoc.get("witness"), "oracle.witness", inst.n)
     except (RationalParseError, InstanceFormatError) as exc:
         return [f"oracle: {exc}"]
     matrix = PerturbationMatrix(rows)

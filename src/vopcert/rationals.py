@@ -87,6 +87,22 @@ def vscale(c: Fraction, a: Sequence[Fraction]) -> Vec:
     return tuple(c * x for x in a)
 
 
+def lincomb(weights: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]],
+            n: int) -> Vec:
+    """sum_i weights[i] * vectors[i] in dimension n; zero weights are skipped,
+    so an empty or all-zero combination is zeros(n)."""
+    total = [Q0] * n
+    for w, v in zip(weights, vectors):
+        if not w:
+            continue
+        if len(v) != n:
+            raise ValueError("dimension mismatch")
+        for j, x in enumerate(v):
+            if x:
+                total[j] += w * x
+    return tuple(total)
+
+
 def vneg(a: Sequence[Fraction]) -> Vec:
     return tuple(-x for x in a)
 

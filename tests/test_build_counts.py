@@ -55,6 +55,15 @@ def test_certify_and_report_build_each_cone_once(monkeypatch):
         {"g1_cone": 1, "g2_cone": 1, "tangent_cone": 1}
 
 
+def test_certify_enumerates_the_selections_once(monkeypatch):
+    # K_EX has two dual generators; both scalarizations share one
+    # enumeration of the essentially active selections
+    sels = _count(monkeypatch, "funcs", "essentially_active_selections")
+    certify(EXAMPLE, qv(0))
+    assert len(K_EX.dual_neg_gens.generators) == 2
+    assert len(sels) == 1
+
+
 def test_report_for_another_candidate_rebuilds(monkeypatch):
     verdict = certify(EXAMPLE, qv(0))
     g1 = _count(monkeypatch, "geometry", "g1_cone")

@@ -166,6 +166,48 @@ def test_verify_report_round_trip(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+DESCENT3 = {
+    "dims": {"n": 3, "p": 2},
+    "objectives": [
+        {"kind": "smooth", "pieces": [{"a": [1, 0, 0]}]},
+        {"kind": "smooth", "pieces": [{"a": [0, 1, 0]}]},
+    ],
+    "cone": {"hrep": [[-1, 0], [0, -1]]},
+    "feasible": {"type": "polyhedral", "rows": [], "rhs": []},
+    "candidate": [0, 0, 0],
+}
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda d: d.update(witness=d["witness"][:2]),
+     "verdict witness: expected 3 entries, got 2"),
+    (lambda d: d["cones"].update(tangent_rows=[[1, 0]]),
+     "tangent_rows[0]: expected 3 entries, got 2"),
+    (lambda d: d["oracle"].update(matrix=[[0], [0]]),
+     "oracle: oracle.matrix[0]: expected 3 entries, got 1"),
+    (lambda d: d["oracle"].update(matrix=d["oracle"]["matrix"] * 2),
+     "oracle: oracle.matrix: expected 2 rows, got 4"),
+    (lambda d: d["oracle"].update(witness=d["oracle"]["witness"][:2]),
+     "oracle: oracle.witness: expected 3 entries, got 2"),
+], ids=["verdict-witness", "tangent-width", "matrix-width", "matrix-rows",
+        "oracle-witness"])
+def test_verify_report_wrong_length_data_exits_65(tmp_path, capsys, mangle,
+                                                  message):
+    path = _write(tmp_path, DESCENT3)
+    assert main(["certify", path, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert main(["oracle", path, "--radius", "1/10", "--json"]) == 1
+    doc["oracle"] = json.loads(capsys.readouterr().out)
+    rpath = tmp_path / "report.json"
+    rpath.write_text(json.dumps(doc))
+    assert main(["verify-report", path, str(rpath)]) == 0
+    capsys.readouterr()
+    mangle(doc)
+    rpath.write_text(json.dumps(doc))
+    assert main(["verify-report", path, str(rpath)]) == 65
+    assert f"FAIL {message}" in capsys.readouterr().out.splitlines()
+
+
 def test_usage_errors_exit_64(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", _write(tmp_path, EX1)])  # --radius is required

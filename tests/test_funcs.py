@@ -1,17 +1,23 @@
 """Function calculus: values, generalized gradients, scalarization, convexity."""
 
+import itertools
+import random
 from fractions import Fraction
 
+import pytest
+
 from helpers import (
-    DIRS16, DIRS24, Q, af, maxfn, minfn, qp, qv, slope_sweep, smooth,
-    stable_quotient, support_of,
+    DIRS16, DIRS24, Q, af, maxfn, minfn, qp, qv, random_instance,
+    slope_sweep, smooth, stable_quotient, support_of,
 )
 from vopcert.funcs import (
-    CONVEX, NOT_CONVEX, UNKNOWN, SubdiffPolytope, clarke_subdiff_component,
-    essentially_active_selections, eval_components, full_dim_selections,
-    kconvexity_check, polytopes_equal, scalarized_subdiff, subdiff_contains,
+    CONVEX, NOT_CONVEX, UNKNOWN, SubdiffPolytope, _selection_rows,
+    clarke_subdiff_component, essentially_active_selections, eval_components,
+    full_dim_selections, kconvexity_check, polytopes_equal, scalarized_subdiff,
+    scalarized_subdiffs, subdiff_contains,
 )
-from vopcert.rationals import vadd, vdot, vscale
+from vopcert.linprog import le, lp_solve
+from vopcert.rationals import Q1, lincomb, unit, vadd, vdot, vneg, vscale, zeros
 
 # running two-component example: f1 = max(0, x), f2 = min(-x, 0) at xbar = 0
 F1 = maxfn(af([0]), af([1]))
@@ -81,6 +87,71 @@ def test_essentially_active_selections_drop_thin_regions():
         assert s.slack > 0
         for row, rhs in s.rows:
             assert vdot(row, s.point) < rhs  # strictly interior
+
+
+def _boxed_selection_indices(components, xbar):
+    """Essentially active selections as the slack LP confined to the unit
+    box around xbar decides them, with the active-but-thin ones counted."""
+    n = len(xbar)
+    values = [fn.value(xbar) for fn in components]
+    kept, thin = [], 0
+    for indices in itertools.product(*(range(len(fn.pieces)) for fn in components)):
+        if any(fn.pieces[s].value(xbar) != values[i]
+               for i, (fn, s) in enumerate(zip(components, indices))):
+            continue
+        rows = _selection_rows(components, indices)
+        if rows is None:
+            continue
+        rels = [le(tuple(row) + (Q1,), rhs) for row, rhs in rows]
+        tcol = unit(n + 1, n)
+        rels.append(le(tcol, Q1))
+        for j in range(n):
+            ej = unit(n + 1, j)
+            rels.append(le(ej, xbar[j] + 1))
+            rels.append(le(vneg(ej), 1 - xbar[j]))
+        if lp_solve(tcol, rels).value > 0:
+            kept.append(indices)
+        else:
+            thin += 1
+    return kept, thin
+
+
+def test_unboxed_selections_match_the_box_lp():
+    rng = random.Random(20261019)
+    kept_total = thin_total = 0
+    for i in range(60):
+        inst, xbar = random_instance(rng, ("generic", "descent", "span")[i % 3])
+        kept, thin = _boxed_selection_indices(inst.objectives, xbar)
+        sels = essentially_active_selections(inst.objectives, xbar)
+        assert [s.indices for s in sels] == kept
+        kept_total += len(kept)
+        thin_total += thin
+    # both outcomes of the slack LP occur on this family
+    assert kept_total > 0 and thin_total > 0
+
+
+def test_scalarized_subdiffs_match_one_weight_at_a_time():
+    mus = (qv(1, 1), qv(2, 1), qv(2, 0), qv(0, 0), qv(-1, 3))
+    mixed = (maxfn(qp([[1]], [0]), af([1])), smooth(af([1])))
+    for comps, xbar in ((EX, X0), (mixed, qv(2)),
+                        ((smooth(qp([[2]], [1])), smooth(af([-3], 7))), qv(1))):
+        assert scalarized_subdiffs(mus, comps, xbar) == \
+            tuple(scalarized_subdiff(mu, comps, xbar) for mu in mus)
+    assert scalarized_subdiffs((), EX, X0) == ()
+
+
+def test_lincomb_is_the_weighted_fold():
+    vectors = (qv(1, -2, Q(1, 3)), qv(0, 5, 1), qv(Q(-3, 4), 0, 2))
+    for weights in (qv(2, Q(1, 2), -1), qv(0, 3, 0), qv(0, 0, 0)):
+        fold = zeros(3)
+        for w, v in zip(weights, vectors):
+            fold = vadd(fold, vscale(w, v))
+        assert lincomb(weights, vectors, 3) == fold
+    assert lincomb((), (), 4) == zeros(4)
+    # a zero weight skips its vector, whatever its length
+    assert lincomb(qv(0, 1), (qv(9), qv(1, 2)), 2) == qv(1, 2)
+    with pytest.raises(ValueError):
+        lincomb(qv(1), (qv(1, 2),), 3)
 
 
 def test_full_dim_selections_match_at_generic_point():

@@ -53,6 +53,24 @@ def test_single_process_without_environment_knobs():
     assert not found, "a second process or an environment knob: " + ", ".join(found)
 
 
+def test_no_hand_rolled_weighted_sums():
+    # a weighted sum is rationals.lincomb; an `x = vadd(x, ...)` fold is a
+    # copy of it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _nodes(path):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Name)
+                    and node.value.func.id == "vadd"
+                    and any(isinstance(arg, ast.Name)
+                            and arg.id == node.targets[0].id
+                            for arg in node.value.args)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "vadd fold instead of lincomb: " + ", ".join(found)
+
+
 def test_no_float_in_src():
     found = []
     for path in sorted(SRC.glob("*.py")):
