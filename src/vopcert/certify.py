@@ -10,10 +10,15 @@ at the sampling oracle.
 Every intersection-form condition is recomputed in its dual span form
 through a double-description round trip, and the two verdicts must agree
 exactly; a mismatch raises ConsistencyError because it can only be a bug.
+
+Efficiency is one `Domination` problem per (instance, candidate), decided
+for f + C x: unshifted by `efficiency_check`, per perturbation C by the
+oracle, per scalarization matrix by the gap check.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -27,7 +32,7 @@ from .errors import (
     InstanceFormatError,
 )
 from .funcs import (
-    CONVEX, NOT_CONVEX, PieceFn, Selection, _all_affine,
+    CONVEX, NOT_CONVEX, PieceFn, _all_affine,
     clarke_subdiff_component, eval_components, full_dim_selections,
     kconvexity_check,
 )
@@ -39,8 +44,8 @@ from .geometry import (
 )
 from .linprog import INFEASIBLE, OPTIMAL, le, lp_solve
 from .rationals import (
-    Mat, Q1, Vec, dedup_rows, is_zero_vec, lincomb, vadd, vdot, vneg, vscale,
-    vsub,
+    Mat, Q1, Vec, dedup_rows, is_zero_vec, lincomb, mat_vec, vadd, vdot, vneg,
+    vscale, vsub,
 )
 
 ROBUST_CERTIFIED = "RobustCertified"
@@ -156,11 +161,16 @@ def polyhedral_reduction(omega: FeasibleSet) -> Optional[Tuple[Tuple[Vec, ...], 
 # ---------------------------------------------------------------------------
 # exact efficiency decision
 
-def _verify_domination(inst: VOPInstance, xbar: Vec, y: Vec) -> bool:
+def _verify_domination(inst: VOPInstance, xbar: Vec, y: Vec,
+                       shift: Optional[Mat] = None) -> bool:
+    """Whether y dominates xbar for f + C. (C = shift), by substitution."""
     if not feasible_contains(inst.feasible, y):
         return False
-    w = vsub(eval_components(inst.objectives, xbar),
-             eval_components(inst.objectives, y))
+
+    def value(x):   # f(x) + C x
+        fx = eval_components(inst.objectives, x)
+        return fx if shift is None else vadd(fx, mat_vec(shift, x))
+    w = vsub(value(xbar), value(y))
     if is_zero_vec(w):
         return False
     return all(vdot(m, w) <= 0 for m in inst.cone.hrep.rows)
@@ -168,78 +178,95 @@ def _verify_domination(inst: VOPInstance, xbar: Vec, y: Vec) -> bool:
 
 def _grid_efficiency(inst: VOPInstance, xbar: Vec) -> EfficiencyResult:
     """Flagged fallback for shapes outside the exact path: finite probes only."""
-    n = inst.n
-    step = Fraction(1, 8) if n <= 2 else Fraction(1, 4)
-    offsets = []
+    step = Fraction(1, 8) if inst.n <= 2 else Fraction(1, 4)
     span = int(1 / step)
-    ranges = [range(-span, span + 1)] * n
-
-    def rec(i, cur):
-        if i == n:
-            offsets.append(tuple(cur))
-            return
-        for k in ranges[i]:
-            rec(i + 1, cur + [k * step])
-    rec(0, [])
-    for off in offsets:
-        y = vadd(xbar, off)
+    for ks in itertools.product(range(-span, span + 1), repeat=inst.n):
+        y = vadd(xbar, tuple(k * step for k in ks))
         if _verify_domination(inst, xbar, y):
             return EfficiencyResult(False, y, exact=True)
     return EfficiencyResult(True, exact=False)
 
 
-def efficiency_check(inst: VOPInstance, xbar: Vec,
-                     regions: Optional[Tuple[Selection, ...]] = None) -> EfficiencyResult:
-    """Exact efficiency decision for piecewise-affine objectives.
+class Domination:
+    """Whether xbar is efficient for f + C. with any p x n shift C.
 
-    Enumerates full-dimensional piece-selection regions (their closures
-    cover space), and on each solves the domination program: maximize the
-    summed cone violation of w = f(xbar) - f(y) subject to w staying in the
-    cone, y in region and feasible. Pointedness makes a positive value
-    equivalent to domination. Quadratic pieces fall back to a flagged grid.
+    A shift adds c_i . x to every piece of component i, so the selection
+    regions (their closures cover space) do not move with C. Built once:
+    the feasibility of xbar, the reduced feasible set, each full-dimensional
+    region's relations, its selected gradients and gaps to f(xbar).
     """
+
+    def __init__(self, inst: VOPInstance, xbar: Vec):
+        if not _all_affine(inst.objectives):
+            raise CapabilityError("domination program needs piecewise-affine objectives")
+        if not feasible_contains(inst.feasible, xbar):
+            raise InfeasiblePointError("candidate point is infeasible")
+        reduced = polyhedral_reduction(inst.feasible)
+        if reduced is None:
+            raise CapabilityError("feasible set has no exact polyhedral reduction")
+        self.inst, self.xbar = inst, xbar
+        omega = [le(row, rhs) for row, rhs in zip(*reduced)]
+        fxbar = eval_components(inst.objectives, xbar)
+        cone_rows = inst.cone.hrep.rows
+        self._ssum = lincomb([Q1] * len(cone_rows), cone_rows, inst.p)
+        self._regions = []
+        for sel in full_dim_selections(inst.objectives, inst.n):
+            pieces = [fn.pieces[s] for fn, s in zip(inst.objectives, sel.indices)]
+            self._regions.append((
+                [le(row, rhs) for row, rhs in sel.rows] + omega,
+                [p.a for p in pieces],
+                [p.b - fi for p, fi in zip(pieces, fxbar)]))
+
+    def point(self, shift: Optional[Mat] = None) -> EfficiencyResult:
+        """Decide f + C. with C = shift (p rows of n), or f itself.
+
+        On each region, maximize the summed cone violation of
+        w = f(xbar) + C xbar - f(y) - C y subject to w in the cone and y in
+        the region and feasible; pointedness makes a positive value
+        equivalent to domination. A dominating y is re-checked on the
+        instance's objectives plus C.
+        """
+        inst, xbar, n = self.inst, self.xbar, self.inst.n
+        if shift is not None:
+            if [len(c) for c in shift] != [n] * inst.p:
+                raise InstanceFormatError("shift must have p rows of n entries")
+            cx = mat_vec(shift, xbar)
+        for rels, sel_a, sel_gap in self._regions:
+            if shift is not None:
+                sel_a = [vadd(a, c) for a, c in zip(sel_a, shift)]
+                sel_gap = vsub(sel_gap, cx)
+            # cone rows on w = f(xbar) - (A y + b): m.w <= 0
+            rels = rels + [le(lincomb(vneg(m), sel_a, n), vdot(m, sel_gap))
+                           for m in inst.cone.hrep.rows]
+            # objective: sigma(y) = -(sum of cone rows) . w, linear part in y
+            c = lincomb(self._ssum, sel_a, n)
+            const = vdot(self._ssum, sel_gap)
+            res = lp_solve(c, rels)
+            if res.status == INFEASIBLE:
+                continue
+            if res.status == OPTIMAL:
+                if res.value + const <= 0:
+                    continue
+                y = res.x
+            else:
+                sigma0 = vdot(c, res.x) + const
+                rate = vdot(c, res.ray)
+                t = Q1 if sigma0 + rate > 0 else (Q1 - sigma0) / rate
+                y = vadd(res.x, vscale(t, res.ray))
+            if not _verify_domination(inst, xbar, y, shift):
+                raise ConsistencyError("domination witness failed substitution")
+            return EfficiencyResult(False, y)
+        return EfficiencyResult(True)
+
+
+def efficiency_check(inst: VOPInstance, xbar: Vec) -> EfficiencyResult:
+    """Exact efficiency decision for piecewise-affine objectives (the
+    unshifted Domination); quadratic pieces fall back to a flagged grid."""
+    if _all_affine(inst.objectives):
+        return Domination(inst, xbar).point()
     if not feasible_contains(inst.feasible, xbar):
         raise InfeasiblePointError("candidate point is infeasible")
-    if not _all_affine(inst.objectives):
-        return _grid_efficiency(inst, xbar)
-    reduced = polyhedral_reduction(inst.feasible)
-    if reduced is None:
-        raise CapabilityError("feasible set has no exact polyhedral reduction")
-    omega_rows, omega_rhs = reduced
-    n = inst.n
-    fxbar = eval_components(inst.objectives, xbar)
-    cone_rows = inst.cone.hrep.rows
-    if regions is None:
-        regions = full_dim_selections(inst.objectives, n)
-    ssum = lincomb([Q1] * len(cone_rows), cone_rows, inst.p)
-    for sel in regions:
-        pieces = [fn.pieces[s] for fn, s in zip(inst.objectives, sel.indices)]
-        sel_a = [p.a for p in pieces]
-        sel_gap = [p.b - fi for p, fi in zip(pieces, fxbar)]
-        rels = [le(row, rhs) for row, rhs in sel.rows]
-        rels += [le(row, rhs) for row, rhs in zip(omega_rows, omega_rhs)]
-        # cone rows on w = f(xbar) - (A y + b): m.w <= 0
-        rels += [le(lincomb(vneg(m), sel_a, n), vdot(m, sel_gap))
-                 for m in cone_rows]
-        # objective: sigma(y) = -(sum of cone rows) . w, linear part in y
-        c = lincomb(ssum, sel_a, n)
-        const = vdot(ssum, sel_gap)
-        res = lp_solve(c, rels)
-        if res.status == INFEASIBLE:
-            continue
-        if res.status == OPTIMAL:
-            if res.value + const <= 0:
-                continue
-            y = res.x
-        else:
-            sigma0 = vdot(c, res.x) + const
-            rate = vdot(c, res.ray)
-            t = Q1 if sigma0 + rate > 0 else (Q1 - sigma0) / rate
-            y = vadd(res.x, vscale(t, res.ray))
-        if not _verify_domination(inst, xbar, y):
-            raise ConsistencyError("domination witness failed substitution")
-        return EfficiencyResult(False, y)
-    return EfficiencyResult(True)
+    return _grid_efficiency(inst, xbar)
 
 
 # ---------------------------------------------------------------------------

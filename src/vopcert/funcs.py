@@ -193,10 +193,12 @@ def _interiority(rows, n):
     return res.value, res.x[:n]
 
 
-def full_dim_selections(components: Sequence[PieceFn], n: int) -> Tuple[Selection, ...]:
-    """All selections whose agreement region has nonempty interior."""
+def _selections(components, n, active=None) -> Tuple[Selection, ...]:
+    """Full-dimensional selections among the index tuples `active` accepts."""
     out = []
     for indices in itertools.product(*(range(len(fn.pieces)) for fn in components)):
+        if active is not None and not active(indices):
+            continue
         rows = _selection_rows(components, indices)
         if rows is None:
             continue
@@ -206,6 +208,11 @@ def full_dim_selections(components: Sequence[PieceFn], n: int) -> Tuple[Selectio
         slack, point = got
         out.append(Selection(indices, tuple(rows), point, slack))
     return tuple(out)
+
+
+def full_dim_selections(components: Sequence[PieceFn], n: int) -> Tuple[Selection, ...]:
+    """All selections whose agreement region has nonempty interior."""
+    return _selections(components, n)
 
 
 def essentially_active_selections(components: Sequence[PieceFn], xbar: Vec) -> Tuple[Selection, ...]:
@@ -221,22 +228,10 @@ def essentially_active_selections(components: Sequence[PieceFn], xbar: Vec) -> T
     the closure of the interior as soon as the interior is nonempty, and
     confining the search to a box around xbar decides nothing more.
     """
-    n = len(xbar)
     values = [fn.value(xbar) for fn in components]
-    out = []
-    for indices in itertools.product(*(range(len(fn.pieces)) for fn in components)):
-        if any(fn.pieces[s].value(xbar) != values[i]
-               for i, (fn, s) in enumerate(zip(components, indices))):
-            continue
-        rows = _selection_rows(components, indices)
-        if rows is None:
-            continue
-        got = _interiority(rows, n)
-        if got is None:
-            continue
-        slack, point = got
-        out.append(Selection(indices, tuple(rows), point, slack))
-    return tuple(out)
+    return _selections(components, len(xbar), lambda indices: all(
+        fn.pieces[s].value(xbar) == v
+        for fn, s, v in zip(components, indices, values)))
 
 
 def _all_affine(components) -> bool:
@@ -484,12 +479,13 @@ def kconvexity_check(components: Sequence[PieceFn], dual_gens: Mat, n: int,
     """
     affine = _all_affine(components)
     smooth = _all_smooth(components)
-    cells = full_dim_selections(components, n) if affine else None
+    cells = ()   # built for the first generator the syntax cannot settle
     unknown = False
     for g in dual_gens:
         if _syntactic_convex_scalarization(components, g):
             continue
         if affine:
+            cells = cells or full_dim_selections(components, n)
             status, wit = _pa_scalar_convexity(components, g, cells, n)
         elif smooth:
             status, wit = _quad_scalar_convexity(components, g, n)

@@ -6,10 +6,11 @@ that are efficient for the linear vector problem max_y xi^T(x - y).  A
 robust candidate must admit some xi placing zero in that set.  Zero lies in
 it exactly when x itself is efficient for the linear problem: an efficient
 y with xi^T y = xi^T x gives x the image of y, so x is efficient too, and
-an efficient x is its own such y.  Each matrix thus costs one exact
-efficiency check at x.  The search tries the vertex products of the
-gradient polytopes, then seeded convex combinations drawn one at a time,
-and stops at the first matrix that works.  The face lattice of the polytope
+an efficient x is its own such y.  Each matrix xi thus costs one exact
+efficiency check at x, the shift xi of one `certify.Domination` over the
+zero objective.  The search tries the vertex products of the gradient
+polytopes, then seeded convex combinations drawn one at a time, and stops
+at the first matrix that works.  The face lattice of the polytope
 (`enumerate_faces`, `efficient_faces`) is public for inspection; the check
 never walks it.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .certify import ConditionReport, VOPInstance, efficiency_check, polyhedral_reduction
+from .certify import ConditionReport, Domination, VOPInstance, polyhedral_reduction
 from .cones import ConeHRep, dd_generators_from_halfspaces
 from .errors import (
     CapabilityError, ConsistencyError, InfeasiblePointError,
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .funcs import (
     AffinePiece, CONVEX, PieceFn, SMOOTH, SubdiffPolytope,
-    clarke_subdiff_component, full_dim_selections, kconvexity_check,
+    clarke_subdiff_component, kconvexity_check,
     polytopes_equal, scalarized_subdiffs, subdiff_contains,
     _minkowski_vertices, _regular_convex_route,
 )
@@ -124,70 +125,53 @@ def enumerate_faces(rows, rhs, n: int) -> Tuple[Face, ...]:
     return tuple(seen.values())
 
 
-class _GapPolytope:
-    """The bounded polytope of a gap check with what every matrix reuses:
-    the reduced rows as a polyhedral set and the linear problem's region."""
+def _bounded_polytope(omega: FeasibleSet, n: int) -> PolyhedralSet:
+    """The feasible set as the bounded polytope the gap machinery needs:
+    reduced to rows, and bounded in every coordinate direction (2n LPs)."""
+    reduced = polyhedral_reduction(omega)
+    if reduced is None:
+        raise CapabilityError("gap machinery needs a polyhedral feasible set")
+    rows, rhs = reduced
+    rels = [le(row, b) for row, b in zip(rows, rhs)]
+    for i in range(n):
+        for sign in (1, -1):
+            if lp_solve(unit(n, i, sign), rels).status == UNBOUNDED:
+                raise CapabilityError("gap machinery needs a bounded polytope")
+    return PolyhedralSet(tuple(rows), tuple(rhs))
 
-    def __init__(self, omega: FeasibleSet, n: int):
-        reduced = polyhedral_reduction(omega)
-        if reduced is None:
-            raise CapabilityError("gap machinery needs a polyhedral feasible set")
-        rows, rhs = reduced
-        self.n = n
-        rels = [le(row, b) for row, b in zip(rows, rhs)]
-        for i in range(n):
-            for sign in (1, -1):
-                if lp_solve(unit(n, i, sign), rels).status == UNBOUNDED:
-                    raise CapabilityError("gap machinery needs a bounded polytope")
-        self.feasible = PolyhedralSet(tuple(rows), tuple(rhs))
-        self._regions = None
 
-    def linear_instance(self, columns: Sequence[Vec], cone: OrderingCone):
-        """The linear problem of one matrix and its selection regions.
-
-        max xi^T(x - y) over y is decided through its minimization mirror
-        y -> xi^T y; the constant xi^T x never moves the efficient set.
-        Each component is one affine piece, so the one region is the whole
-        space whatever the columns.
-        """
-        comps = tuple(PieceFn(SMOOTH, (AffinePiece(tuple(col), Fraction(0)),))
-                      for col in columns)
-        inst = VOPInstance(comps, self.feasible, cone, len(columns[0]))
-        if self._regions is None:
-            self._regions = full_dim_selections(comps, self.n)
-        return inst, self._regions
-
-    def zero_in_gap(self, xbar: Vec, columns: Sequence[Vec],
-                    cone: OrderingCone) -> bool:
-        """Whether 0 is in the gap set, i.e. xbar is efficient for the
-        linear problem: an efficient y with xi^T y = xi^T xbar gives xbar
-        the image of y, and an efficient xbar is its own such y."""
-        inst, regions = self.linear_instance(columns, cone)
-        return efficiency_check(inst, xbar, regions).efficient
+def _linear_problem(poly: PolyhedralSet, cone: OrderingCone,
+                    xbar: Vec) -> Domination:
+    """The linear problems of every matrix xi at xbar: max xi^T(x - y) is
+    decided through its mirror y -> xi^T y, the zero objective shifted by
+    xi, whose one selection region is the whole space. 0 is in the gap set
+    iff xbar is efficient for it (see the module docstring)."""
+    n = len(xbar)
+    zero = PieceFn(SMOOTH, (AffinePiece(zeros(n), Fraction(0)),))
+    return Domination(VOPInstance((zero,) * cone.dim, poly, cone, n), xbar)
 
 
 def efficient_faces(columns: Sequence[Vec], omega: FeasibleSet,
                     cone: OrderingCone) -> EfficientFaceList:
     """Faces whose relative interior is efficient for the linear problem."""
-    poly = _GapPolytope(omega, len(columns[0]))
-    inst, regions = poly.linear_instance(columns, cone)
-    faces = enumerate_faces(poly.feasible.rows, poly.feasible.rhs, poly.n)
+    n = len(columns[0])
+    poly = _bounded_polytope(omega, n)
     # efficiency is constant on the relative interior of a face, so the
     # vertex barycenter decides for the whole face
-    return tuple(face for face in faces
-                 if efficiency_check(inst, face.barycenter(), regions).efficient)
+    return tuple(face for face in enumerate_faces(poly.rows, poly.rhs, n)
+                 if _linear_problem(poly, cone, face.barycenter())
+                 .point(columns).efficient)
 
 
 def zero_in_gap(xbar: Vec, columns: Sequence[Vec], omega: FeasibleSet,
                 cone: OrderingCone) -> bool:
-    """Whether some efficient y for the linear problem has xi^T(xbar-y) = 0.
-
-    That is, whether xbar itself is efficient for it; see
-    _GapPolytope.zero_in_gap.
+    """Whether some efficient y for the linear problem has xi^T(xbar-y) = 0,
+    that is, whether xbar itself is efficient for it; see _linear_problem.
     """
     if not feasible_contains(omega, xbar):
         raise InfeasiblePointError("gap base point is infeasible")
-    return _GapPolytope(omega, len(xbar)).zero_in_gap(xbar, columns, cone)
+    poly = _bounded_polytope(omega, len(xbar))
+    return _linear_problem(poly, cone, xbar).point(columns).efficient
 
 
 def _vertex_sets(components: Sequence[PieceFn], xbar: Vec):
@@ -222,13 +206,12 @@ def sampled_scalarizations(components: Sequence[PieceFn], xbar: Vec,
 
 
 def scalarization_equality(components: Sequence[PieceFn], xbar: Vec,
-                           cone: OrderingCone, seed: int = 0,
-                           probes: int = 20):
+                           cone: OrderingCone, seed: int = 0):
     """Probe whether scalarized gradients split as weighted Minkowski sums.
 
     Returns (established, exact): the convex smooth/max shapes with
     nonnegative dual generators carry the equality structurally; anything
-    else is probed on the dual generators plus seeded nonnegative
+    else is probed on the dual generators plus 20 seeded nonnegative
     combinations, which can refute exactly but confirm only sampled.
     """
     gens = cone.dual_neg_gens.generators
@@ -238,7 +221,7 @@ def scalarization_equality(components: Sequence[PieceFn], xbar: Vec,
         return True, True
     rng = random.Random(seed)
     mus = list(gens)
-    for _ in range(probes):
+    for _ in range(20):
         weights = [Fraction(rng.randint(0, 8)) for _ in gens]
         if all(w == 0 for w in weights):
             weights[0] = Fraction(1)
@@ -267,7 +250,7 @@ def gap_necessary_check(inst: VOPInstance, xbar: Vec, seed: int = 0,
     """
     if not feasible_contains(inst.feasible, xbar):
         raise InfeasiblePointError("candidate point is infeasible")
-    poly = _GapPolytope(inst.feasible, inst.n)  # polytope gate
+    poly = _bounded_polytope(inst.feasible, inst.n)
 
     smooth_all = all(fn.kind == SMOOTH for fn in inst.objectives)
     if smooth_all:
@@ -287,9 +270,10 @@ def gap_necessary_check(inst: VOPInstance, xbar: Vec, seed: int = 0,
     samples = 0 if smooth_all else max(samples, 0)
     searched = f"searched {math.prod(map(len, vertex_sets))} vertex " \
                f"matrices, {samples} sampled"
+    linear = _linear_problem(poly, inst.cone, xbar)
     for xi in itertools.chain(itertools.product(*vertex_sets),
                               _sampled_columns(vertex_sets, seed, samples)):
-        if poly.zero_in_gap(xbar, xi, inst.cone):
+        if linear.point(xi).efficient:
             return ConditionReport(GAP_NECESSARY, True, witness=xi,
                                    note=f"{hyp_note}; {searched}")
     if smooth_all:

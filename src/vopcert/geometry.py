@@ -28,10 +28,10 @@ from .errors import (
     TrivialConeError,
 )
 from .funcs import (
-    CONVEX, AffinePiece, PieceFn, clarke_subdiff_component, eval_components,
-    kconvexity_check, scalarized_subdiffs,
+    CONVEX, AffinePiece, PieceFn, SubdiffPolytope, clarke_subdiff_component,
+    eval_components, kconvexity_check, scalarized_subdiffs, subdiff_contains,
 )
-from .linprog import INFEASIBLE, eq, le, lp_solve, feasible_point
+from .linprog import INFEASIBLE, le, lp_solve, feasible_point
 from .rationals import (
     Mat, Q0, Q1, Vec, dedup_rows, is_zero_vec, lincomb, vdot, vneg, zeros,
 )
@@ -192,11 +192,8 @@ def conic_support(block: ConicBlockSet, xbar: Vec) -> ConicSupport:
     for v, verts in zip(vals, verts_by_rep):
         if v == gmax:
             hull.extend(verts)
-    hull = list(dict.fromkeys(hull))
-    m = len(hull)
-    rels = [eq(tuple(hull[i][j] for i in range(m)), Q0) for j in range(n)]
-    rels.append(eq((Q1,) * m, Q1))
-    zero_in = feasible_point(rels, m, nonneg=[True] * m) is not None
+    zero_in = subdiff_contains(SubdiffPolytope(n, tuple(dict.fromkeys(hull))),
+                               zeros(n))
     return ConicSupport(active, upsilon, dcone, zero_in, exact)
 
 

@@ -367,6 +367,9 @@ def verify_report(parsed: ParsedInstance, doc: dict) -> List[str]:
             problems.append(f"reports[{i}]: expected an object")
             continue
         cond = rep.get("condition")
+        if not isinstance(cond, str):
+            problems.append(f"reports[{i}].condition: expected a string")
+            continue
         if cond in rowsets and rep.get("holds") is False \
                 and rep.get("witness") is not None:
             _check_direction(problems, cond, rep["witness"], rowsets[cond],

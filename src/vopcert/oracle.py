@@ -5,7 +5,8 @@ perturbation Cx whose Frobenius norm is strictly below a radius.  This module
 is the refuting half of that quantifier: it walks a deterministic family of
 sparse perturbation matrices, then seeded random lattice ones drawn one at a
 time, decides efficiency exactly per candidate, and stops at the first
-dominated one under that fixed order.  Finding nothing proves nothing.
+dominated one under that fixed order; the candidates are shifts of one
+`certify.Domination`.  Finding nothing proves nothing.
 """
 
 import itertools
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .certify import VOPInstance, _verify_domination, efficiency_check
+from .certify import Domination, VOPInstance, _verify_domination, efficiency_check
 from .errors import ConsistencyError, InstanceFormatError
-from .funcs import AffinePiece, PieceFn, QuadPiece, Selection, full_dim_selections
+from .funcs import AffinePiece, PieceFn, QuadPiece
 from .rationals import Vec, vadd
 
 REFUTED = "RefutedWithWitness"
@@ -134,25 +135,6 @@ def perturbed_instance(inst: VOPInstance, matrix: PerturbationMatrix) -> VOPInst
     return VOPInstance(tuple(comps), inst.feasible, inst.cone, inst.n)
 
 
-def _evaluate(inst: VOPInstance, xbar: Vec,
-              regions: Optional[Tuple[Selection, ...]],
-              matrix: PerturbationMatrix) -> Optional[Vec]:
-    """Dominating point of xbar under the perturbed objective, or None.
-
-    The perturbation adds the same affine term to every piece of a
-    component, so within-component piece comparisons are untouched and the
-    selection regions of the unperturbed instance stay valid.
-    """
-    pert = perturbed_instance(inst, matrix)
-    res = efficiency_check(pert, xbar, regions)
-    if res.efficient:
-        return None
-    y = res.witness
-    if y is None or not _verify_domination(pert, xbar, y):
-        raise ConsistencyError("oracle refutation failed substitution")
-    return y
-
-
 def robust_oracle(inst: VOPInstance, xbar: Vec, r, budget: int = 1000,
                   seed: int = 0, patterns: bool = True) -> OracleReport:
     """Search the open Frobenius ball of radius r for a refuting C.
@@ -161,7 +143,9 @@ def robust_oracle(inst: VOPInstance, xbar: Vec, r, budget: int = 1000,
     `budget` seeded lattice samples drawn one at a time. Each is checked
     against the ball before it is evaluated, and the scan stops at the
     first refutation, so the report is the first refuting candidate in that
-    order and no sample after it is drawn.
+    order and no sample after it is drawn. With piecewise-affine
+    objectives each candidate is a shift of one Domination built before
+    the scan. A refuting point is re-checked on the perturbed instance.
     """
     r = Fraction(r)
     if r <= 0:
@@ -169,7 +153,7 @@ def robust_oracle(inst: VOPInstance, xbar: Vec, r, budget: int = 1000,
     if budget < 0:
         raise InstanceFormatError("sample budget must be nonnegative")
     exact = all(fn.is_affine() for fn in inst.objectives)
-    regions = full_dim_selections(inst.objectives, inst.n) if exact else None
+    problem = Domination(inst, xbar) if exact else None
     pats = structured_patterns(inst.p, inst.n, r) if patterns else ()
     npat = 1 + len(pats)
     rng = random.Random(seed)
@@ -179,22 +163,27 @@ def robust_oracle(inst: VOPInstance, xbar: Vec, r, budget: int = 1000,
     for idx, matrix in enumerate(candidates):
         if not matrix.in_ball(r):
             raise ConsistencyError("perturbation candidate outside the open ball")
-        y = _evaluate(inst, xbar, regions, matrix)
-        if y is not None:
-            return OracleReport(REFUTED, matrix, y,
-                                patterns_tried=min(idx + 1, npat),
-                                samples_tried=max(0, idx + 1 - npat),
-                                budget=budget, seed=seed, exact=exact,
-                                note=note)
+        res = (problem.point(matrix.rows) if exact else
+               efficiency_check(perturbed_instance(inst, matrix), xbar))
+        if res.efficient:
+            continue
+        y = res.witness
+        if y is None or not _verify_domination(perturbed_instance(inst, matrix),
+                                               xbar, y):
+            raise ConsistencyError("oracle refutation failed substitution")
+        return OracleReport(REFUTED, matrix, y,
+                            patterns_tried=min(idx + 1, npat),
+                            samples_tried=max(0, idx + 1 - npat),
+                            budget=budget, seed=seed, exact=exact, note=note)
     return OracleReport(NO_COUNTEREXAMPLE, None, None,
                         patterns_tried=npat, samples_tried=budget,
                         budget=budget, seed=seed, exact=exact, note=note)
 
 
 def radius_estimate(inst: VOPInstance, xbar: Vec, r_max, budget: int = 200,
-                    seed: int = 0, levels: int = 6,
-                    patterns: bool = True) -> RadiusEstimate:
-    """Bisect [0, r_max], probing each level with a fixed sample budget.
+                    seed: int = 0) -> RadiusEstimate:
+    """Bisect [0, r_max] in at most 6 probes, each with the structured
+    patterns and a fixed sample budget.
 
     Probes start at r_max and walk the bisection interval; a refuted probe
     lowers the top, a clean probe raises the bottom, so every clean level
@@ -210,8 +199,8 @@ def radius_estimate(inst: VOPInstance, xbar: Vec, r_max, budget: int = 200,
     clean_below = Fraction(0)
     trace = []
     probe = r_max
-    for level in range(levels):
-        rep = robust_oracle(inst, xbar, probe, budget, seed + level, patterns)
+    for level in range(6):
+        rep = robust_oracle(inst, xbar, probe, budget, seed + level)
         trace.append((probe, rep.outcome))
         if rep.refuted:
             refuted_at = probe if refuted_at is None else min(refuted_at, probe)

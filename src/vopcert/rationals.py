@@ -128,8 +128,8 @@ def primitive(v: Sequence[Fraction]) -> Vec:
     return tuple(Fraction(k // g) for k in ints)
 
 
-def dedup_rows(rows: Iterable[Sequence[Fraction]], drop_zero: bool = True) -> Mat:
-    """Primitive-canonicalize, drop duplicates (and optionally zero rows).
+def dedup_rows(rows: Iterable[Sequence[Fraction]]) -> Mat:
+    """Primitive-canonicalize, drop zero rows and duplicates.
 
     Output order follows first appearance, so the result is deterministic.
     """
@@ -137,7 +137,7 @@ def dedup_rows(rows: Iterable[Sequence[Fraction]], drop_zero: bool = True) -> Ma
     out = []
     for r in rows:
         p = primitive(r)
-        if drop_zero and is_zero_vec(p):
+        if is_zero_vec(p):
             continue
         if p not in seen:
             seen.add(p)

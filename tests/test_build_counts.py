@@ -1,5 +1,6 @@
-"""Each cone is built once per (instance, candidate), the gap polytope once
-per check, and each gap matrix costs one efficiency check.
+"""Each cone is built once per (instance, candidate), the gap polytope and
+the oracle's domination problem once per call, and each gap matrix costs
+one decision of that problem.
 
 Functions are counted wherever a vopcert module binds them: a
 `from .geometry import g1_cone` copies the binding into the importing
@@ -9,14 +10,17 @@ attribute `vopcert.certify` is the function, not the submodule.
 
 import sys
 
-from helpers import af, maxfn, minfn, qv, smooth
+from helpers import Q, af, maxfn, minfn, qv, smooth
 from vopcert import gapfn
-from vopcert.certify import CONIC_GATE, ROBUST_CERTIFIED, VOPInstance, certify
+from vopcert.certify import (
+    CONIC_GATE, ROBUST_CERTIFIED, Domination, VOPInstance, certify,
+)
 from vopcert.gapfn import gap_necessary_check
 from vopcert.geometry import (
     ConicBlockSet, PolyhedralSet, validate_ordering_cone,
 )
 from vopcert.instances import report_document
+from vopcert.oracle import NO_COUNTEREXAMPLE, robust_oracle
 
 ORTHANT2 = validate_ordering_cone(2, rows=(qv(-1, 0), qv(0, -1)))
 K_EX = validate_ordering_cone(2, rows=(qv(-1, -1), qv(-1, 0)))
@@ -118,19 +122,17 @@ def test_gap_check_builds_the_polytope_once(monkeypatch):
     faces = _count(monkeypatch, "gapfn", "enumerate_faces")
     gap_lps = _count(monkeypatch, "linprog", "lp_solve", only_in="gapfn")
     points = _count(monkeypatch, "linprog", "feasible_point")
-    checks = _count(monkeypatch, "certify", "efficiency_check")
-    # per matrix tried: (feasible_point calls, efficiency_check base points)
+    # per matrix decided: (feasible_point calls, base point)
     tried = []
-    decide = gapfn._GapPolytope.zero_in_gap
+    decide = Domination.point
 
-    def spy(poly, point, columns, cone):
-        before = len(points), len(checks)
-        result = decide(poly, point, columns, cone)
-        tried.append((len(points) - before[0],
-                      [args[1] for args in checks[before[1]:]]))
+    def spy(problem, shift=None):
+        before = len(points)
+        result = decide(problem, shift)
+        tried.append((len(points) - before, problem.xbar))
         return result
 
-    monkeypatch.setattr(gapfn._GapPolytope, "zero_in_gap", spy)
+    monkeypatch.setattr(Domination, "point", spy)
     drawn = []
     stream = gapfn._sampled_columns
 
@@ -143,10 +145,9 @@ def test_gap_check_builds_the_polytope_once(monkeypatch):
     rep = gap_necessary_check(inst, xbar)
     assert rep.holds is True and "4 vertex matrices, 100 sampled" in rep.note
     # 4 vertex matrices, then samples drawn only up to the 75th, which works;
-    # one efficiency check at the base point per matrix, no face stage
+    # one decision at the base point per matrix, no face stage
     assert len(drawn) == 75 and rep.witness == drawn[-1]
-    assert tried == [(0, [xbar])] * 79
-    assert len(checks) == 79 and faces == []
+    assert tried == [(0, xbar)] * 79 and faces == []
     units = sorted(tuple(s * (i == k) for k in range(2))
                    for i in range(2) for s in (1, -1))
     assert sorted(tuple(args[0]) for args in gap_lps) == units
@@ -162,3 +163,19 @@ def test_gap_check_settled_at_base_point_skips_faces(monkeypatch):
     faces = _count(monkeypatch, "gapfn", "enumerate_faces")
     rep = gap_necessary_check(inst, qv(0))
     assert rep.holds is True and faces == []
+
+
+def test_oracle_builds_the_domination_problem_once(monkeypatch):
+    # a certified point: every candidate is decided and none refutes, yet
+    # the feasible set is reduced and the regions enumerated once per call
+    inst = VOPInstance((maxfn(af([1, 0]), af([-1, 0])),
+                        maxfn(af([0, 1]), af([0, -1]))),
+                       PolyhedralSet((), ()), ORTHANT2, 2)
+    for budget in (0, 40):
+        reductions = _count(monkeypatch, "certify", "polyhedral_reduction")
+        regions = _count(monkeypatch, "funcs", "full_dim_selections")
+        rep = robust_oracle(inst, qv(0, 0), Q(1, 10), budget=budget)
+        assert rep.outcome == NO_COUNTEREXAMPLE
+        assert rep.samples_tried == budget
+        assert (len(reductions), len(regions)) == (1, 1)
+        monkeypatch.undo()

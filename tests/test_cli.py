@@ -310,6 +310,20 @@ def test_report_entry_not_object_exits_65(tmp_path, capsys):
     assert "FAIL reports[0]: expected an object" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("condition", [[], {}, None],
+                         ids=["list", "object", "missing"])
+def test_report_condition_not_a_string_exits_65(tmp_path, capsys, condition):
+    path = _write(tmp_path, EX1)
+    assert main(["certify", path, "--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    doc["reports"][0]["condition"] = condition
+    rpath = tmp_path / "report.json"
+    rpath.write_text(json.dumps(doc))
+    assert main(["verify-report", path, str(rpath)]) == 65
+    assert "FAIL reports[0].condition: expected a string" in \
+        capsys.readouterr().out.splitlines()
+
+
 def test_consistency_error_exits_70(tmp_path, capsys, monkeypatch):
     def broken(inst, xbar):
         raise ConsistencyError("two routes disagree")

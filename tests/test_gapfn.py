@@ -101,6 +101,14 @@ def test_zero_in_gap_shortcut_and_failure():
     assert not zero_in_gap(qv(1), (qv(1), qv(1)), SEGMENT, ORTHANT2)
 
 
+@pytest.mark.parametrize("columns", [(qv(1),), (qv(1), qv(1), qv(1)),
+                                     (qv(1, 0), qv(1, 0))],
+                         ids=["one-column", "three-columns", "wide-columns"])
+def test_zero_in_gap_rejects_misshapen_columns(columns):
+    with pytest.raises(InstanceFormatError):
+        zero_in_gap(qv(0), columns, SEGMENT, ORTHANT2)
+
+
 def test_zero_matrix_always_in_gap():
     assert zero_in_gap(qv(Q(1, 3)), (qv(0), qv(0)), SEGMENT, ORTHANT2)
 

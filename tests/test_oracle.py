@@ -4,10 +4,14 @@ import random
 
 import pytest
 
-from helpers import Q, af, maxfn, minfn, qp, qv, smooth
+from helpers import Q, af, maxfn, minfn, qp, qv, random_instance, smooth
 from vopcert import oracle
-from vopcert.certify import VOPInstance, certify, NOT_ROBUST_CERTIFIED
-from vopcert.errors import ConsistencyError, InstanceFormatError
+from vopcert.certify import (
+    Domination, VOPInstance, certify, efficiency_check, NOT_ROBUST_CERTIFIED,
+)
+from vopcert.errors import (
+    CapabilityError, ConsistencyError, InstanceFormatError,
+)
 from vopcert.funcs import eval_components
 from vopcert.geometry import PolyhedralSet, validate_ordering_cone
 from vopcert.oracle import (
@@ -53,6 +57,30 @@ def test_random_matrices_stay_in_open_ball():
     for _ in range(200):
         m = _random_matrix(rng, 2, 2, Q(1, 7))
         assert m.frobenius_sq() < Q(1, 49)
+
+
+def test_shifted_domination_decides_the_perturbed_instance():
+    # one problem per (instance, xbar), shifted by each candidate, answers
+    # as a fresh efficiency check on the perturbed instance would
+    rng = random.Random(5)
+    decided = set()
+    for i in range(12):
+        inst, xbar = random_instance(rng, ("generic", "descent", "span")[i % 3])
+        problem = Domination(inst, xbar)
+        for _ in range(6):
+            matrix = _random_matrix(rng, inst.p, inst.n, Q(1, 2))
+            got = problem.point(matrix.rows)
+            assert got == efficiency_check(perturbed_instance(inst, matrix), xbar)
+            decided.add(got.efficient)
+        assert problem.point() == efficiency_check(inst, xbar)
+    assert decided == {True, False}
+
+
+def test_domination_refuses_quadratic_objectives():
+    quad = VOPInstance((smooth(qp([[1]], [0])), smooth(af([1]))),
+                       WHOLE_LINE, ORTHANT2, 1)
+    with pytest.raises(CapabilityError):
+        Domination(quad, qv(0))
 
 
 def test_perturbed_instance_values():
