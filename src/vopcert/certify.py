@@ -44,8 +44,8 @@ from .geometry import (
 )
 from .linprog import INFEASIBLE, OPTIMAL, le, lp_solve
 from .rationals import (
-    Mat, Q1, Vec, dedup_rows, is_zero_vec, lincomb, mat_vec, vadd, vdot, vneg,
-    vscale, vsub,
+    Mat, Q1, Vec, dedup_rows, integer_row, is_zero_vec, lincomb, mat_vec,
+    unique_solution, vadd, vdot, vneg, vscale, vsub,
 )
 
 ROBUST_CERTIFIED = "RobustCertified"
@@ -187,13 +187,59 @@ def _grid_efficiency(inst: VOPInstance, xbar: Vec) -> EfficiencyResult:
     return EfficiencyResult(True, exact=False)
 
 
+@dataclass
+class _Region:
+    """One full-dimensional selection region of a Domination: its LP for
+    C = 0 and what its past solves proved."""
+
+    fixed: list                 # the region's and Omega's relations
+    cone_a: Tuple[Vec, ...]     # -M A_s: the cone rows' coefficients
+    cone_b: Vec                 # M (b_s - f(xbar)): their right-hand sides
+    c: Vec                      # ssum A_s, the objective
+    const: Fraction             # ssum (b_s - f(xbar))
+    # once settled: for each row i where the dual of the last settling
+    # solve is nonzero, (i, (coefficients, rhs) for C = 0 as `integer_row`
+    # gives them); and (c, -const) the same way
+    support: Optional[Tuple[tuple, ...]] = None
+    obj: Optional[tuple] = None
+
+    def settle(self, dual: Vec):
+        """Keep the support of the dual of an optimum that settled it."""
+        nfixed = len(self.fixed)
+        rows = []
+        for i, v in enumerate(dual):
+            if v:
+                if i < nfixed:
+                    row, _, rhs = self.fixed[i]
+                else:
+                    row, rhs = self.cone_a[i - nfixed], self.cone_b[i - nfixed]
+                rows.append((i, integer_row((*row, rhs))))
+        self.support = tuple(rows)
+        self.obj = integer_row((*self.c, -self.const))
+
+
 class Domination:
     """Whether xbar is efficient for f + C. with any p x n shift C.
 
     A shift adds c_i . x to every piece of component i, so the selection
     regions (their closures cover space) do not move with C. Built once:
-    the feasibility of xbar, the reduced feasible set, each full-dimensional
-    region's relations, its selected gradients and gaps to f(xbar).
+    the feasibility of xbar, the reduced feasible set, and per
+    full-dimensional region its fixed relations, cone rows and objective
+    for C = 0. With M the ordering cone's rows and ssum their sum, a shift
+    subtracts (M C, M C xbar) from the cone rows and adds their sum to
+    (objective, -constant), the same for every region.
+
+    A settled region (its LP optimum shows no domination) keeps the support
+    S of that optimum's dual. Under a later shift, the unique u with
+    A_S(C)^T u = c(C), re-checked by substitution, with u >= 0 and
+    u . b_S(C) + const(C) <= 0 proves by weak duality that the region's LP
+    is infeasible or has a value that cannot dominate, so the region is
+    settled without an LP; the check runs on integer rows, each pair (row,
+    rhs) scaled by a positive factor, which moves no sign. A region whose
+    infeasibility a Farkas vector proves from its fixed relations alone is
+    empty under every shift and is dropped. Neither shortcut can report a
+    domination, so the first dominating region and its LP are those of a
+    problem built afresh.
     """
 
     def __init__(self, inst: VOPInstance, xbar: Vec):
@@ -205,17 +251,40 @@ class Domination:
         if reduced is None:
             raise CapabilityError("feasible set has no exact polyhedral reduction")
         self.inst, self.xbar = inst, xbar
+        n = inst.n
         omega = [le(row, rhs) for row, rhs in zip(*reduced)]
         fxbar = eval_components(inst.objectives, xbar)
         cone_rows = inst.cone.hrep.rows
+        self._neg_cone = tuple(vneg(m) for m in cone_rows)
         self._ssum = lincomb([Q1] * len(cone_rows), cone_rows, inst.p)
+        # M = mi / md and xbar = xi / xd in integers
+        flat, self._md = integer_row([v for m in cone_rows for v in m])
+        self._mi = [flat[k:k + inst.p] for k in range(0, len(flat), inst.p)]
+        self._xi, self._xd = integer_row(xbar)
         self._regions = []
-        for sel in full_dim_selections(inst.objectives, inst.n):
+        for sel in full_dim_selections(inst.objectives, n):
             pieces = [fn.pieces[s] for fn, s in zip(inst.objectives, sel.indices)]
-            self._regions.append((
+            a = [p.a for p in pieces]
+            gap = [p.b - fi for p, fi in zip(pieces, fxbar)]
+            self._regions.append(_Region(
                 [le(row, rhs) for row, rhs in sel.rows] + omega,
-                [p.a for p in pieces],
-                [p.b - fi for p, fi in zip(pieces, fxbar)]))
+                tuple(lincomb(m, a, n) for m in self._neg_cone),
+                tuple(vdot(m, gap) for m in cone_rows),
+                lincomb(self._ssum, a, n), vdot(self._ssum, gap)))
+
+    def _shift_ints(self, shift: Mat):
+        """(M C, M C xbar) for each cone row and their sum, as integer
+        vectors over one positive denominator."""
+        n = self.inst.n
+        flat, d = integer_row([v for row in shift for v in row])
+        kmat = [flat[i:i + n] for i in range(0, len(flat), n)]
+        moves = []
+        for mrow in self._mi:
+            mk = [sum(m * krow[j] for m, krow in zip(mrow, kmat))
+                  for j in range(n)]
+            moves.append([v * self._xd for v in mk] +
+                         [sum(v * x for v, x in zip(mk, self._xi))])
+        return moves, [sum(col) for col in zip(*moves)], self._md * d * self._xd
 
     def point(self, shift: Optional[Mat] = None) -> EfficiencyResult:
         """Decide f + C. with C = shift (p rows of n), or f itself.
@@ -227,25 +296,41 @@ class Domination:
         instance's objectives plus C.
         """
         inst, xbar, n = self.inst, self.xbar, self.inst.n
-        if shift is not None:
-            if [len(c) for c in shift] != [n] * inst.p:
-                raise InstanceFormatError("shift must have p rows of n entries")
-            cx = mat_vec(shift, xbar)
-        for rels, sel_a, sel_gap in self._regions:
+        if shift is not None and [len(c) for c in shift] != [n] * inst.p:
+            raise InstanceFormatError("shift must have p rows of n entries")
+        moves = deltas = None   # built when a region first needs them
+        for region in self._regions:
+            if region.support is not None:
+                if shift is not None and moves is None:
+                    moves = self._shift_ints(shift)
+                if self._certified(region, moves):
+                    continue
+            # cone rows on w = f(xbar) - (A y + b): m.w <= 0; objective
+            # sigma(y) = -(sum of cone rows) . w, linear part c, constant const
+            cone_a, cone_b = region.cone_a, region.cone_b
+            c, const = region.c, region.const
             if shift is not None:
-                sel_a = [vadd(a, c) for a, c in zip(sel_a, shift)]
-                sel_gap = vsub(sel_gap, cx)
-            # cone rows on w = f(xbar) - (A y + b): m.w <= 0
-            rels = rels + [le(lincomb(vneg(m), sel_a, n), vdot(m, sel_gap))
-                           for m in inst.cone.hrep.rows]
-            # objective: sigma(y) = -(sum of cone rows) . w, linear part in y
-            c = lincomb(self._ssum, sel_a, n)
-            const = vdot(self._ssum, sel_gap)
-            res = lp_solve(c, rels)
+                if deltas is None:   # -M C, M C xbar, ssum C, ssum C xbar
+                    cx = mat_vec(shift, xbar)
+                    deltas = ([lincomb(m, shift, n) for m in self._neg_cone],
+                              [vdot(m, cx) for m in inst.cone.hrep.rows],
+                              lincomb(self._ssum, shift, n),
+                              vdot(self._ssum, cx))
+                da, db, dc, dconst = deltas
+                cone_a = [vadd(a, d) for a, d in zip(cone_a, da)]
+                cone_b = [b - d for b, d in zip(cone_b, db)]
+                c, const = vadd(c, dc), const - dconst
+            nfixed = len(region.fixed)
+            res = lp_solve(c, region.fixed + [le(a, b) for a, b in
+                                              zip(cone_a, cone_b)])
             if res.status == INFEASIBLE:
+                if is_zero_vec(res.farkas[nfixed:]):
+                    # empty region: no shift can make it dominate
+                    self._regions = [r for r in self._regions if r is not region]
                 continue
             if res.status == OPTIMAL:
                 if res.value + const <= 0:
+                    region.settle(res.dual)
                     continue
                 y = res.x
             else:
@@ -257,6 +342,37 @@ class Domination:
                 raise ConsistencyError("domination witness failed substitution")
             return EfficiencyResult(False, y)
         return EfficiencyResult(True)
+
+    def _certified(self, region: _Region, moves) -> bool:
+        """Whether the region's support settles it under the shift whose
+        `_shift_ints` are moves (None for no shift).
+
+        The unique u with sum_i u_i cols_i = target on the first n entries,
+        re-checked by substitution, is a dual point when u >= 0; weak duality
+        then bounds the LP value plus const by u . b_S + const, which is
+        sum_i u_i cols_i[n] - target[n].
+        """
+        n, nfixed = self.inst.n, len(region.fixed)
+        target, tden = region.obj
+        if moves is not None:
+            row_moves, total, dv = moves
+            target = [a * dv + b * tden for a, b in zip(target, total)]
+        cols = []
+        for i, (ints, rden) in region.support:
+            if moves is not None and i >= nfixed:
+                ints = [a * dv - b * rden
+                        for a, b in zip(ints, row_moves[i - nfixed])]
+            cols.append(ints)
+        sol = unique_solution([col[:n] for col in cols], target[:n])
+        if sol is None:
+            return False
+        nums, uden = sol
+        if any(u < 0 for u in nums):
+            return False
+        sums = [sum(u * col[j] for u, col in zip(nums, cols))
+                for j in range(n + 1)]
+        return (all(sums[j] == uden * target[j] for j in range(n))
+                and sums[n] <= uden * target[n])
 
 
 def efficiency_check(inst: VOPInstance, xbar: Vec) -> EfficiencyResult:

@@ -10,6 +10,13 @@ denominators of the input and divided by the gcd of its entries and its
 denominator after every update. Fractions appear only at the interface: in
 the returned point, ray and value, and in the substitution re-checks.
 
+Every OPTIMAL result carries a dual vector y over the normalized <= rows
+(with nonneg, one more entry per sign-constrained variable, as for Farkas
+vectors). It is read from the phase-2 cost row at the slack columns and
+checked on the integer rows before return: y >= 0, y^T A = c and
+y^T b = value. By weak duality it proves the optimum on its own, and its
+support names the rows that bind.
+
 Pivots follow Bland's rule with a fixed variable order, so identical inputs
 pivot identically and produce bit-identical results. They are the pivots of
 the Fraction tableau this kernel replaced, because every decision reads a
@@ -23,8 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .rationals import Q0, Q1, Vec, integer_row, unit, vdot
 
@@ -62,6 +69,9 @@ class LpResult:
     farkas: Optional[Vec] = None
     # improving direction (structural variables) when unbounded
     ray: Optional[Vec] = None
+    # when optimal: multipliers y >= 0 over the normalized <= rows, then the
+    # sign rows as for farkas, with y^T A = objective and y^T b = value
+    dual: Optional[Vec] = None
 
 
 def normalize_relations(relations: Sequence[Relation], n: int):
@@ -133,7 +143,11 @@ class _Core:
         self.n = n
         # structural columns: nonneg vars get one, free vars a +/- pair
         self.colmap: List[Tuple[int, int]] = []
+        # j -> the one column of sign-constrained variable j, in order of j
+        self.sign_cols: Dict[int, int] = {}
         for j in range(n):
+            if nonneg is not None and nonneg[j]:
+                self.sign_cols[j] = len(self.colmap)
             self.colmap.append((j, 1))
             if nonneg is None or not nonneg[j]:
                 self.colmap.append((j, -1))
@@ -164,6 +178,7 @@ class _Core:
                 basis.append(ns + i)
             tab.append(row)
             dens.append(den)
+        self.scaled = scaled
         self.tab = tab
         self.dens = dens
         self.basis = basis
@@ -246,12 +261,48 @@ class _Core:
                 _pivot(tab, self.dens, basis, i, target)
 
     def run_phase2(self, c_structural):
-        ints, den = integer_row(c_structural)
+        self.c_ints = ints, den = integer_row(c_structural)
         z = [ints[j] if s > 0 else -ints[j] for j, s in self.colmap]
         z += [0] * (self.ncols + 1 - len(z))
-        zrow = [z, den]
+        self.zrow = zrow = [z, den]
         self._price_out(zrow)
         return self._simplex(zrow, phase1=False)
+
+    def dual(self, value: Fraction) -> Vec:
+        """The optimal multipliers, checked on the integer rows.
+
+        The reduced cost of slack i is -y_i, and that of the column of a
+        sign-constrained variable j is -mu_j, the multiplier of its row
+        -x_j <= 0. Row i is ints_i / d_i, y_i = Y_i / den and L is the lcm of
+        the d_i on the support, so sum_i Y_i (L / d_i) ints_i holds
+        (y^T A, y^T b) over den * L, and the checks are integer identities.
+        """
+        z, den = self.zrow
+        ns, scaled, m = self.ns, self.scaled, len(self.tab)
+        support = [i for i in range(m) if z[ns + i]]
+        mus = [-z[k] for k in self.sign_cols.values()]
+        if any(z[ns + i] > 0 for i in support) or any(v < 0 for v in mus):
+            raise LpInternalError("dual failed its sign check")
+        big = lcm(*(scaled[i][1] for i in support))
+        sums = [0] * (self.n + 1)
+        for i in support:
+            w = -z[ns + i] * (big // scaled[i][1])
+            sums = [t + w * v for t, v in zip(sums, scaled[i][0])]
+        for j, mu in zip(self.sign_cols, mus):
+            sums[j] -= mu * big
+        cints, cden = self.c_ints
+        scale = den * big
+        if any(t * cden != c * scale for t, c in zip(sums, cints)):
+            raise LpInternalError("dual failed substitution check")
+        if sums[-1] * value.denominator != value.numerator * scale:
+            raise LpInternalError("dual value differs from the optimum")
+        y = [Q0] * (m + len(mus))
+        for i in support:
+            y[i] = Fraction(-z[ns + i], den)
+        for t, mu in enumerate(mus, m):
+            if mu:
+                y[t] = Fraction(mu, den)
+        return tuple(y)
 
     def solution(self) -> Vec:
         x = [Q0] * self.n
@@ -309,7 +360,8 @@ def lp_solve(objective: Sequence[Fraction], relations: Sequence[Relation],
              nonneg: Optional[Sequence[bool]] = None) -> LpResult:
     """Exact LP solve of max objective . x; minimize by negating the objective.
 
-    Witnesses are re-checked by substitution before return.
+    Witnesses are re-checked by substitution before return: the point, the
+    Farkas vector or the ray, and on OPTIMAL the dual vector as well.
     """
     n = len(objective)
     c = tuple(Fraction(v) for v in objective)
@@ -317,7 +369,7 @@ def lp_solve(objective: Sequence[Fraction], relations: Sequence[Relation],
     if n == 0:
         bad = next((i for i, b in enumerate(rhs) if b < 0), None)
         if bad is None:
-            return LpResult(OPTIMAL, Q0, ())
+            return LpResult(OPTIMAL, Q0, (), dual=(Q0,) * len(rows))
         y = tuple(Q1 if i == bad else Q0 for i in range(len(rows)))
         return LpResult(INFEASIBLE, farkas=y)
     core = _Core(rows, rhs, n, nonneg)
@@ -338,7 +390,8 @@ def lp_solve(objective: Sequence[Fraction], relations: Sequence[Relation],
     for r, b in zip(rows, rhs):
         if vdot(r, x) > b:
             raise LpInternalError("optimal point failed substitution check")
-    return LpResult(OPTIMAL, vdot(c, x), x)
+    value = vdot(c, x)
+    return LpResult(OPTIMAL, value, x, dual=core.dual(value))
 
 
 def feasible_point(relations: Sequence[Relation], n: int,

@@ -7,6 +7,14 @@ sparse perturbation matrices, then seeded random lattice ones drawn one at a
 time, decides efficiency exactly per candidate, and stops at the first
 dominated one under that fixed order; the candidates are shifts of one
 `certify.Domination`.  Finding nothing proves nothing.
+
+Most candidates cost no LP. Once a selection region's LP shows no
+domination, the support S of its dual is kept. For a later candidate C,
+the exact unique u >= 0 with A_S(C)^T u = c(C) is a dual feasible point,
+so by weak duality the region's LP value is at most u . b_S(C). If that
+bound plus the objective's constant is <= 0, the region cannot dominate
+and the LP is skipped. That is the same verdict the LP would give, so
+the reports do not depend on it.
 """
 
 import itertools
@@ -14,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .certify import Domination, VOPInstance, _verify_domination, efficiency_check
 from .errors import ConsistencyError, InstanceFormatError
@@ -84,25 +92,38 @@ def _entry_matrix(p: int, n: int, entries) -> PerturbationMatrix:
     return PerturbationMatrix(tuple(tuple(r) for r in rows))
 
 
-def structured_patterns(p: int, n: int, r: Fraction) -> Tuple[PerturbationMatrix, ...]:
+class _Patterns:
+    """The sparse patterns of `structured_patterns`, built one at a time as
+    they are iterated; len() counts them without building any."""
+
+    def __init__(self, p: int, n: int, r: Fraction):
+        self.p, self.n, self.rho = p, n, Fraction(r) / 2
+
+    def __len__(self) -> int:
+        c = self.p * self.n
+        return 2 * c * c    # 2c singles, 4 signs for each of c(c-1)/2 pairs
+
+    def __iter__(self) -> Iterator[PerturbationMatrix]:
+        p, n, rho = self.p, self.n, self.rho
+        cells = [(i, j) for i in range(p) for j in range(n)]
+        for cell in cells:
+            for s in (1, -1):
+                yield _entry_matrix(p, n, ((cell, s * rho),))
+        for a, b in itertools.combinations(cells, 2):
+            for s1, s2 in ((1, 1), (1, -1), (-1, -1), (-1, 1)):
+                yield _entry_matrix(p, n, ((a, s1 * rho), (b, s2 * rho)))
+
+
+def structured_patterns(p: int, n: int, r: Fraction) -> _Patterns:
     """Sparse one- and two-entry matrices at magnitude r/2, fixed order.
 
     Single entries come first in row-major cell order with the positive sign
     before the negative; then every ordered cell pair with the four sign
-    combinations. Both shapes stay strictly inside the Frobenius ball.
+    combinations. Both shapes stay strictly inside the Frobenius ball. The
+    matrices are built lazily, so a scan that stops early builds only the
+    ones it reaches.
     """
-    rho = Fraction(r) / 2
-    cells = [(i, j) for i in range(p) for j in range(n)]
-    out = []
-    for cell in cells:
-        for s in (1, -1):
-            out.append(_entry_matrix(p, n, ((cell, s * rho),)))
-    for a in range(len(cells)):
-        for b in range(a + 1, len(cells)):
-            for s1, s2 in ((1, 1), (1, -1), (-1, -1), (-1, 1)):
-                out.append(_entry_matrix(
-                    p, n, ((cells[a], s1 * rho), (cells[b], s2 * rho))))
-    return tuple(out)
+    return _Patterns(p, n, r)
 
 
 def _random_matrix(rng: random.Random, p: int, n: int, r: Fraction) -> PerturbationMatrix:
@@ -150,10 +171,27 @@ def robust_oracle(inst: VOPInstance, xbar: Vec, r, budget: int = 1000,
     r = Fraction(r)
     if r <= 0:
         raise InstanceFormatError("perturbation radius must be positive")
+    _check_budget(budget)
+    return _scan(inst, xbar, _problem(inst, xbar), r, budget, seed, patterns)
+
+
+def _check_budget(budget: int):
     if budget < 0:
         raise InstanceFormatError("sample budget must be nonnegative")
-    exact = all(fn.is_affine() for fn in inst.objectives)
-    problem = Domination(inst, xbar) if exact else None
+
+
+def _problem(inst: VOPInstance, xbar: Vec) -> Optional[Domination]:
+    """The Domination the candidates shift, or None without an exact one."""
+    if all(fn.is_affine() for fn in inst.objectives):
+        return Domination(inst, xbar)
+    return None
+
+
+def _scan(inst: VOPInstance, xbar: Vec, problem: Optional[Domination],
+          r: Fraction, budget: int, seed: int, patterns: bool) -> OracleReport:
+    """`robust_oracle` on a problem built by `_problem`, which several scans
+    may share: its settled regions carry over, its answers do not change."""
+    exact = problem is not None
     pats = structured_patterns(inst.p, inst.n, r) if patterns else ()
     npat = 1 + len(pats)
     rng = random.Random(seed)
@@ -187,20 +225,23 @@ def radius_estimate(inst: VOPInstance, xbar: Vec, r_max, budget: int = 200,
 
     Probes start at r_max and walk the bisection interval; a refuted probe
     lowers the top, a clean probe raises the bottom, so every clean level
-    sits strictly below every refuted one and the trace is monotone.
+    sits strictly below every refuted one and the trace is monotone. All
+    probes scan one Domination.
     """
     r_max = Fraction(r_max)
     if r_max < 0:
         raise InstanceFormatError("radius bound must be nonnegative")
     if r_max == 0:
         return RadiusEstimate(None, Fraction(0), ())
+    _check_budget(budget)
+    problem = _problem(inst, xbar)
     lo, hi = Fraction(0), r_max
     refuted_at: Optional[Fraction] = None
     clean_below = Fraction(0)
     trace = []
     probe = r_max
     for level in range(6):
-        rep = robust_oracle(inst, xbar, probe, budget, seed + level)
+        rep = _scan(inst, xbar, problem, probe, budget, seed + level, True)
         trace.append((probe, rep.outcome))
         if rep.refuted:
             refuted_at = probe if refuted_at is None else min(refuted_at, probe)

@@ -161,7 +161,11 @@ def _echelon_ints(m: Sequence[Sequence[Fraction]]):
     Scaling a row keeps the rank, the null space and the reduced form, and
     pivot choice reads only zero tests. Returns (rank, pivot columns, rows).
     """
-    rows = [integer_row(row)[0] for row in m]
+    return _gauss_jordan([integer_row(row)[0] for row in m])
+
+
+def _gauss_jordan(rows):
+    """`_echelon_ints` on rows that are already lists of ints, in place."""
     if not rows:
         return 0, [], rows
     ncols = len(rows[0])
@@ -191,6 +195,24 @@ def _echelon_ints(m: Sequence[Sequence[Fraction]]):
         if r == len(rows):
             break
     return r, pivots, rows
+
+
+def unique_solution(vectors: Sequence[Sequence[int]],
+                    target: Sequence[int]) -> Optional[Tuple[list, int]]:
+    """Integer vectors: (nums, den) with den > 0 such that u = nums / den is
+    the one solution of sum_i u_i vectors[i] == target.
+
+    None when the vectors are dependent or target lies outside their span.
+    The caller re-checks u by substitution.
+    """
+    k = len(vectors)
+    _, pivots, rows = _gauss_jordan(
+        [[v[j] for v in vectors] + [t] for j, t in enumerate(target)])
+    if pivots != list(range(k)):
+        return None
+    # Gauss-Jordan: row i reads rows[i][i] * u_i == rows[i][k]
+    den = math.lcm(*(rows[i][i] for i in range(k)))
+    return [rows[i][k] * (den // rows[i][i]) for i in range(k)], den
 
 
 def row_echelon(m: Sequence[Sequence[Fraction]]):

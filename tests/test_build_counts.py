@@ -1,6 +1,6 @@
 """Each cone is built once per (instance, candidate), the gap polytope and
-the oracle's domination problem once per call, and each gap matrix costs
-one decision of that problem.
+the oracle's domination problem once per call (one for all of a radius
+estimate's levels), and each gap matrix costs one decision of that problem.
 
 Functions are counted wherever a vopcert module binds them: a
 `from .geometry import g1_cone` copies the binding into the importing
@@ -20,7 +20,7 @@ from vopcert.geometry import (
     ConicBlockSet, PolyhedralSet, validate_ordering_cone,
 )
 from vopcert.instances import report_document
-from vopcert.oracle import NO_COUNTEREXAMPLE, robust_oracle
+from vopcert.oracle import NO_COUNTEREXAMPLE, radius_estimate, robust_oracle
 
 ORTHANT2 = validate_ordering_cone(2, rows=(qv(-1, 0), qv(0, -1)))
 K_EX = validate_ordering_cone(2, rows=(qv(-1, -1), qv(-1, 0)))
@@ -174,8 +174,31 @@ def test_oracle_builds_the_domination_problem_once(monkeypatch):
     for budget in (0, 40):
         reductions = _count(monkeypatch, "certify", "polyhedral_reduction")
         regions = _count(monkeypatch, "funcs", "full_dim_selections")
+        lps = _count(monkeypatch, "linprog", "lp_solve", only_in="certify")
+        # LPs made while deciding each candidate, in scan order
+        per_candidate = []
+        decide = Domination.point
+
+        def spy(problem, shift=None):
+            before = len(lps)
+            result = decide(problem, shift)
+            per_candidate.append(len(lps) - before)
+            return result
+
+        monkeypatch.setattr(Domination, "point", spy)
         rep = robust_oracle(inst, qv(0, 0), Q(1, 10), budget=budget)
         assert rep.outcome == NO_COUNTEREXAMPLE
         assert rep.samples_tried == budget
         assert (len(reductions), len(regions)) == (1, 1)
+        # one LP per quadrant for the zero matrix settles it; the duals'
+        # supports settle every later candidate without an LP
+        assert per_candidate == [4] + [0] * (32 + budget)
         monkeypatch.undo()
+
+
+def test_radius_estimate_builds_the_domination_problem_once(monkeypatch):
+    reductions = _count(monkeypatch, "certify", "polyhedral_reduction")
+    regions = _count(monkeypatch, "funcs", "full_dim_selections")
+    est = radius_estimate(EXAMPLE, qv(0), Q(1, 10), budget=20)
+    assert len(est.trace) == 6
+    assert (len(reductions), len(regions)) == (1, 1)

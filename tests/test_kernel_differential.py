@@ -5,13 +5,16 @@ Every `lp_solve`, `feasible_point`, `row_echelon`, `matrix_rank`,
 check make on seeded acceptance families is recorded with its result, then
 replayed through `fraction_reference`. Results must match exactly: the
 same status, value, point, Farkas vector and ray, the same reduced rows,
-down to the type of every entry.
+down to the type of every entry. The reference has no duals, so every
+OPTIMAL `dual` is compared with `dual` stripped and checked on its own by
+substitution in Fractions.
 
 Functions are wrapped wherever a vopcert module binds them, and modules are
 reached through sys.modules (the package attribute `vopcert.certify` is the
 function, not the submodule).
 """
 
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -21,7 +24,8 @@ from helpers import Q, random_instance
 from vopcert.certify import NOT_ROBUST_CERTIFIED, certify
 from vopcert.gapfn import gap_necessary_check
 from vopcert.linprog import (
-    INFEASIBLE, OPTIMAL, UNBOUNDED, LpInternalError, feasible_point, lp_solve,
+    INFEASIBLE, OPTIMAL, UNBOUNDED, LpInternalError, LpResult, feasible_point,
+    lp_solve,
 )
 from vopcert.oracle import robust_oracle
 
@@ -66,13 +70,37 @@ def _capture(monkeypatch):
 
 def _run_families():
     rng = random.Random(20261018)
-    for i in range(100):
+    for i in range(150):
         inst, xbar = random_instance(rng, MODES[i % 3])
         verdict = certify(inst, xbar)
         if verdict.status == NOT_ROBUST_CERTIFIED or i % 9 == 2:
             robust_oracle(inst, xbar, Q(1, 1000), budget=30, seed=11)
         if i % 2 == 0:
             gap_necessary_check(inst, xbar, samples=10)
+
+
+def _dual_ok(args, kwargs, out):
+    """y >= 0, y^T A = c and y^T b = value over the normalized rows and,
+    with nonneg, the sign rows -x_j <= 0, in plain Fraction arithmetic."""
+    objective, relations = args[0], args[1]
+    nonneg = args[2] if len(args) > 2 else dict(kwargs).get("nonneg")
+    n = len(objective)
+    rows, rhs = ref.normalize_relations(relations, n)
+    for j in range(n):
+        if nonneg is not None and nonneg[j]:
+            rows.append(tuple(Fraction(-1 if k == j else 0) for k in range(n)))
+            rhs.append(Fraction(0))
+    y = out.dual
+    return (len(y) == len(rows) and all(v >= 0 for v in y)
+            and all(sum((v * row[j] for v, row in zip(y, rows)), Fraction(0))
+                    == objective[j] for j in range(n))
+            and sum((v * b for v, b in zip(y, rhs)), Fraction(0)) == out.value)
+
+
+def _without_dual(out):
+    if isinstance(out, LpResult):
+        return dataclasses.replace(out, dual=None)
+    return out
 
 
 def _replay(name, args, kwargs):
@@ -104,10 +132,15 @@ def test_kernels_match_the_fraction_reference(monkeypatch):
         expected = _replay(name, args, kwargs)
         # repr as well as ==: Fraction(2) == 2, but an int in a witness
         # would be a different result
-        assert out == expected and repr(out) == repr(expected), (name, args)
+        got = _without_dual(out)
+        assert got == expected and repr(got) == repr(expected), (name, args)
+    optimal = [c for c in lps if c[0] == "lp_solve" and c[3].status == OPTIMAL]
+    assert all(_dual_ok(args, kwargs, out) for _, args, kwargs, out in optimal)
+    assert all(c[3].dual is None for c in lps
+               if c[0] == "lp_solve" and c[3].status != OPTIMAL)
     # every number the LP kernel returns is a Fraction
     for name, _, _, out in lps:
-        fields = ((out.value, out.x, out.farkas, out.ray)
+        fields = ((out.value, out.x, out.farkas, out.ray, out.dual)
                   if name == "lp_solve" else (out,))
         assert all(type(v) is Fraction for v in _entries(fields))
 
@@ -125,16 +158,25 @@ def _random_system(rng, n):
 def test_random_systems_match_the_fraction_reference():
     rng = random.Random(20261019)
     seen = set()
+    signed = 0    # optima whose dual uses a sign row
     for _ in range(600):
         n = rng.randint(1, 4)
         rels = _random_system(rng, n)
         c = tuple(Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
-        got = lp_solve(c, rels)
-        expected = ref.lp_solve(c, rels)
+        out = lp_solve(c, rels)
+        got, expected = _without_dual(out), ref.lp_solve(c, rels)
         assert got == expected and repr(got) == repr(expected)
+        assert out.status != OPTIMAL or _dual_ok((c, rels), (), out)
         seen.add(got.status)
         nonneg = [rng.random() < 0.5 for _ in range(n)]
         point = feasible_point(rels, n, nonneg)
         assert point == ref.feasible_point(rels, n, nonneg)
         assert repr(point) == repr(ref.feasible_point(rels, n, nonneg))
+        # with sign rows, checked by substitution only: the reference's
+        # Farkas vectors leave the sign rows out
+        out = lp_solve(c, rels, nonneg)
+        if out.status == OPTIMAL:
+            assert _dual_ok((c, rels, nonneg), (), out)
+            signed += any(out.dual[len(out.dual) - sum(nonneg):])
     assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert signed

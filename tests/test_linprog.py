@@ -51,6 +51,20 @@ def test_unbounded_gives_improving_ray():
     assert all(vdot(r, d) <= 0 for r in rows)
 
 
+def test_optimal_dual_proves_the_value():
+    # max x1 + x2 with x1 + 2 x2 <= 4, 3 x1 + x2 <= 6 and x2 >= 0: the dual
+    # covers the two rows, then the sign row -x2 <= 0 of nonneg
+    rels = [le((Q(1), Q(2)), Q(4)), le((Q(3), Q(1)), Q(6))]
+    res = lp_solve((Q(1), Q(1)), rels, nonneg=[False, True])
+    assert res.status == OPTIMAL and res.value == Q(14, 5)
+    assert res.dual == (Q(2, 5), Q(1, 5), Q(0))
+    rows, rhs = normalize_relations(rels, 2)
+    assert [vdot(res.dual[:2], col) for col in zip(*rows)] == [1, 1]
+    assert vdot(res.dual[:2], rhs) == res.value
+    assert lp_solve((Q(1),), [le((Q(1),), Q(3))]).dual == (Q(1),)
+    assert lp_solve((Q(1),), [ge((Q(1),), Q(0))]).dual is None
+
+
 def test_equality_handled_as_two_rows():
     res = lp_solve((Q(1), Q(1)), [eq((Q(1), Q(1)), Q(2)), le((Q(1), Q(0)), Q(5))])
     assert res.status == OPTIMAL

@@ -1,6 +1,7 @@
 """Perturbation oracle: structured patterns, lattice samples, radius probes."""
 
 import random
+import sys
 
 import pytest
 
@@ -14,6 +15,7 @@ from vopcert.errors import (
 )
 from vopcert.funcs import eval_components
 from vopcert.geometry import PolyhedralSet, validate_ordering_cone
+from vopcert.linprog import INFEASIBLE
 from vopcert.oracle import (
     NO_COUNTEREXAMPLE, REFUTED, PerturbationMatrix, perturbed_instance,
     radius_estimate, robust_oracle, structured_patterns, zero_matrix,
@@ -44,8 +46,12 @@ def test_frobenius_and_ball_membership():
 
 
 def test_structured_patterns_shape_and_order():
-    pats = structured_patterns(2, 1, Q(1, 10))
+    pats = tuple(structured_patterns(2, 1, Q(1, 10)))
     assert len(pats) == 4 + 4  # two cells: 4 singles, one pair with 4 signs
+    # the count of 2c^2 for c = p n cells is known before any is built
+    assert len(structured_patterns(2, 1, Q(1, 10))) == len(pats)
+    assert len(tuple(structured_patterns(2, 2, Q(1, 10)))) == \
+        len(structured_patterns(2, 2, Q(1, 10))) == 32
     assert pats[0].rows == (qv(Q(1, 20)), qv(0))
     assert pats[1].rows == (qv(Q(-1, 20)), qv(0))
     assert pats[2].rows == (qv(0), qv(Q(1, 20)))
@@ -74,6 +80,72 @@ def test_shifted_domination_decides_the_perturbed_instance():
             decided.add(got.efficient)
         assert problem.point() == efficiency_check(inst, xbar)
     assert decided == {True, False}
+
+
+def test_long_lived_domination_answers_as_a_fresh_one(monkeypatch):
+    # settled regions carry their dual supports from shift to shift; that
+    # history may save LPs but never change an answer or a witness
+    hits = []
+    certified = Domination._certified
+
+    def spy(problem, *args):
+        hit = certified(problem, *args)
+        hits.append(hit)
+        return hit
+
+    monkeypatch.setattr(Domination, "_certified", spy)
+    rng = random.Random(17)
+    decided = set()
+    for i in range(9):
+        inst, xbar = random_instance(rng, ("generic", "descent", "span")[i % 3])
+        problem = Domination(inst, xbar)
+        shifts = [_random_matrix(rng, inst.p, inst.n, r).rows
+                  for r in (Q(1, 1000), Q(1, 10), Q(1), Q(10)) for _ in range(4)]
+        rng.shuffle(shifts)
+        for shift in shifts:
+            got = problem.point(shift)
+            assert got == Domination(inst, xbar).point(shift)
+            decided.add(got.efficient)
+    # both branches ran: certificates that settled a region without an LP,
+    # and certificates that failed and fell back to the LP
+    assert True in hits and False in hits
+    assert decided == {True, False}
+    # here the last shift leaves a region's old dual support with u >= 0,
+    # yet the region dominates: only the bound u . b_S + const <= 0 may
+    # settle it
+    inst = VOPInstance((maxfn(af([-3], -1), af([1], 3), af([1], -1)),
+                        minfn(af([-1]), af([0], -3), af([-3], -3))),
+                       PolyhedralSet((qv(1), qv(-1)), qv(3, 3)), ORTHANT2, 1)
+    problem = Domination(inst, qv(2))
+    for c1, c2 in ((Q(-1, 4), Q(3, 4)), (Q(-3, 2), Q(7, 4)), (Q(1, 2), Q(5, 4)),
+                   (Q(-1, 2), Q(3, 2)), (Q(-3, 4), Q(-1, 4)), (Q(5, 4), Q(5, 4))):
+        shift = (qv(c1), qv(c2))
+        assert problem.point(shift) == Domination(inst, qv(2)).point(shift)
+    assert not problem.point(shift).efficient
+
+
+def test_empty_region_costs_one_lp_per_problem(monkeypatch):
+    # |x| has the region x <= 0, which misses [1, 2]: the Farkas vector of
+    # its first LP uses no cone row, so no shift can revive it
+    inst = VOPInstance((maxfn(af([1]), af([-1])), smooth(af([-1]))),
+                       PolyhedralSet((qv(1), qv(-1)), qv(2, -1)), ORTHANT2, 1)
+    module = sys.modules["vopcert.certify"]
+    solve = module.lp_solve
+    infeasible = []
+
+    def spy(*args):
+        res = solve(*args)
+        if res.status == INFEASIBLE:
+            infeasible.append(res.farkas)
+        return res
+
+    monkeypatch.setattr(module, "lp_solve", spy)
+    rep = robust_oracle(inst, qv(Q(3, 2)), Q(1, 10), budget=20)
+    assert rep.outcome == NO_COUNTEREXAMPLE and rep.samples_tried == 20
+    assert len(infeasible) == 1
+    # a new problem starts over
+    robust_oracle(inst, qv(Q(3, 2)), Q(1, 10), budget=5)
+    assert len(infeasible) == 2
 
 
 def test_domination_refuses_quadratic_objectives():
