@@ -19,6 +19,7 @@ oracle, per scalarization matrix by the gap check.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -187,6 +188,69 @@ def _grid_efficiency(inst: VOPInstance, xbar: Vec) -> EfficiencyResult:
     return EfficiencyResult(True, exact=False)
 
 
+class PerturbationMatrix:
+    """A p x n rational matrix C, added row-wise to the objective as Cx.
+
+    Held as integer numerators `nums` (p rows of n) over one positive
+    denominator `den` in lowest terms, the form `integer_row` gives, so two
+    matrices are equal exactly when their entries are. `rows`, the entries
+    as Fractions, is built on first use and kept.
+    """
+
+    __slots__ = ("nums", "den", "_rows")
+
+    def __init__(self, rows: Mat):
+        self._rows = tuple(tuple(row) for row in rows)
+        flat, self.den = integer_row([v for row in self._rows for v in row])
+        entries = iter(flat)
+        self.nums = tuple(tuple(next(entries) for _ in row)
+                          for row in self._rows)
+
+    @classmethod
+    def from_ints(cls, nums, den: int) -> "PerturbationMatrix":
+        """The matrix nums / den for integer rows nums and den > 0."""
+        g = math.gcd(den, *(k for row in nums for k in row))
+        matrix = cls.__new__(cls)
+        matrix.nums = tuple(tuple(k // g for k in row) for row in nums)
+        matrix.den = den // g
+        matrix._rows = None
+        return matrix
+
+    @property
+    def rows(self) -> Tuple[Vec, ...]:
+        if self._rows is None:
+            den = self.den
+            self._rows = tuple(tuple(Fraction(k, den) for k in row)
+                               for row in self.nums)
+        return self._rows
+
+    def frobenius_sq(self) -> Fraction:
+        return Fraction(sum(k * k for row in self.nums for k in row),
+                        self.den * self.den)
+
+    def in_ball(self, r: Fraction) -> bool:
+        # strict: the ball of radius r is open; sum(nums^2) / den^2 < r^2,
+        # decided in integers
+        rn, rd = r.numerator, r.denominator
+        return (sum(k * k for row in self.nums for k in row) * rd * rd
+                < rn * rn * self.den * self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, PerturbationMatrix):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    def __repr__(self):
+        return f"PerturbationMatrix(rows={self.rows!r})"
+
+
+# settling dual supports a region keeps, newest first
+KEPT_SUPPORTS = 4
+
+
 @dataclass
 class _Region:
     """One full-dimensional selection region of a Domination: its LP for
@@ -197,14 +261,16 @@ class _Region:
     cone_b: Vec                 # M (b_s - f(xbar)): their right-hand sides
     c: Vec                      # ssum A_s, the objective
     const: Fraction             # ssum (b_s - f(xbar))
-    # once settled: for each row i where the dual of the last settling
-    # solve is nonzero, (i, (coefficients, rhs) for C = 0 as `integer_row`
-    # gives them); and (c, -const) the same way
-    support: Optional[Tuple[tuple, ...]] = None
+    # up to KEPT_SUPPORTS distinct supports of past settling duals, newest
+    # first: for each row i where that dual is nonzero, (i, (coefficients,
+    # rhs) for C = 0 as `integer_row` gives them); and (c, -const) the same
+    # way
+    supports: list = field(default_factory=list)
     obj: Optional[tuple] = None
 
     def settle(self, dual: Vec):
-        """Keep the support of the dual of an optimum that settled it."""
+        """Put the support of the dual of an optimum that settled the
+        region first among the kept ones."""
         nfixed = len(self.fixed)
         rows = []
         for i, v in enumerate(dual):
@@ -214,7 +280,9 @@ class _Region:
                 else:
                     row, rhs = self.cone_a[i - nfixed], self.cone_b[i - nfixed]
                 rows.append((i, integer_row((*row, rhs))))
-        self.support = tuple(rows)
+        support = tuple(rows)
+        older = [s for s in self.supports if s != support]
+        self.supports = [support] + older[:KEPT_SUPPORTS - 1]
         self.obj = integer_row((*self.c, -self.const))
 
 
@@ -230,7 +298,8 @@ class Domination:
     (objective, -constant), the same for every region.
 
     A settled region (its LP optimum shows no domination) keeps the support
-    S of that optimum's dual. Under a later shift, the unique u with
+    S of that optimum's dual, with up to three earlier distinct ones, and
+    tries them newest first. Under a later shift, the unique u with
     A_S(C)^T u = c(C), re-checked by substitution, with u >= 0 and
     u . b_S(C) + const(C) <= 0 proves by weak duality that the region's LP
     is infeasible or has a value that cannot dominate, so the region is
@@ -272,22 +341,25 @@ class Domination:
                 tuple(vdot(m, gap) for m in cone_rows),
                 lincomb(self._ssum, a, n), vdot(self._ssum, gap)))
 
-    def _shift_ints(self, shift: Mat):
+    def _shift_ints(self, shift: PerturbationMatrix):
         """(M C, M C xbar) for each cone row and their sum, as integer
         vectors over one positive denominator."""
-        n = self.inst.n
-        flat, d = integer_row([v for row in shift for v in row])
-        kmat = [flat[i:i + n] for i in range(0, len(flat), n)]
+        n, kmat = self.inst.n, shift.nums
         moves = []
         for mrow in self._mi:
             mk = [sum(m * krow[j] for m, krow in zip(mrow, kmat))
                   for j in range(n)]
             moves.append([v * self._xd for v in mk] +
                          [sum(v * x for v, x in zip(mk, self._xi))])
-        return moves, [sum(col) for col in zip(*moves)], self._md * d * self._xd
+        return (moves, [sum(col) for col in zip(*moves)],
+                self._md * shift.den * self._xd)
 
-    def point(self, shift: Optional[Mat] = None) -> EfficiencyResult:
-        """Decide f + C. with C = shift (p rows of n), or f itself.
+    def point(self, shift=None) -> EfficiencyResult:
+        """Decide f + C. with C = shift, or f itself.
+
+        shift is a PerturbationMatrix or p rows of n rationals, converted
+        once here; the certificates read its integer form, and its Fraction
+        rows are built only for an LP or a witness re-check.
 
         On each region, maximize the summed cone violation of
         w = f(xbar) + C xbar - f(y) - C y subject to w in the cone and y in
@@ -296,14 +368,18 @@ class Domination:
         instance's objectives plus C.
         """
         inst, xbar, n = self.inst, self.xbar, self.inst.n
-        if shift is not None and [len(c) for c in shift] != [n] * inst.p:
-            raise InstanceFormatError("shift must have p rows of n entries")
+        if shift is not None:
+            if not isinstance(shift, PerturbationMatrix):
+                shift = PerturbationMatrix(shift)
+            if [len(c) for c in shift.nums] != [n] * inst.p:
+                raise InstanceFormatError("shift must have p rows of n entries")
         moves = deltas = None   # built when a region first needs them
         for region in self._regions:
-            if region.support is not None:
+            if region.supports:
                 if shift is not None and moves is None:
                     moves = self._shift_ints(shift)
-                if self._certified(region, moves):
+                if any(self._certified(region, support, moves)
+                       for support in region.supports):
                     continue
             # cone rows on w = f(xbar) - (A y + b): m.w <= 0; objective
             # sigma(y) = -(sum of cone rows) . w, linear part c, constant const
@@ -311,10 +387,11 @@ class Domination:
             c, const = region.c, region.const
             if shift is not None:
                 if deltas is None:   # -M C, M C xbar, ssum C, ssum C xbar
-                    cx = mat_vec(shift, xbar)
-                    deltas = ([lincomb(m, shift, n) for m in self._neg_cone],
+                    rows = shift.rows
+                    cx = mat_vec(rows, xbar)
+                    deltas = ([lincomb(m, rows, n) for m in self._neg_cone],
                               [vdot(m, cx) for m in inst.cone.hrep.rows],
-                              lincomb(self._ssum, shift, n),
+                              lincomb(self._ssum, rows, n),
                               vdot(self._ssum, cx))
                 da, db, dc, dconst = deltas
                 cone_a = [vadd(a, d) for a, d in zip(cone_a, da)]
@@ -338,14 +415,15 @@ class Domination:
                 rate = vdot(c, res.ray)
                 t = Q1 if sigma0 + rate > 0 else (Q1 - sigma0) / rate
                 y = vadd(res.x, vscale(t, res.ray))
-            if not _verify_domination(inst, xbar, y, shift):
+            if not _verify_domination(inst, xbar, y,
+                                      None if shift is None else shift.rows):
                 raise ConsistencyError("domination witness failed substitution")
             return EfficiencyResult(False, y)
         return EfficiencyResult(True)
 
-    def _certified(self, region: _Region, moves) -> bool:
-        """Whether the region's support settles it under the shift whose
-        `_shift_ints` are moves (None for no shift).
+    def _certified(self, region: _Region, support, moves) -> bool:
+        """Whether support, one of the region's, settles it under the shift
+        whose `_shift_ints` are moves (None for no shift).
 
         The unique u with sum_i u_i cols_i = target on the first n entries,
         re-checked by substitution, is a dual point when u >= 0; weak duality
@@ -358,7 +436,7 @@ class Domination:
             row_moves, total, dv = moves
             target = [a * dv + b * tden for a, b in zip(target, total)]
         cols = []
-        for i, (ints, rden) in region.support:
+        for i, (ints, rden) in support:
             if moves is not None and i >= nfixed:
                 ints = [a * dv - b * rden
                         for a, b in zip(ints, row_moves[i - nfixed])]

@@ -14,7 +14,13 @@ the exact unique u >= 0 with A_S(C)^T u = c(C) is a dual feasible point,
 so by weak duality the region's LP value is at most u . b_S(C). If that
 bound plus the objective's constant is <= 0, the region cannot dominate
 and the LP is skipped. That is the same verdict the LP would give, so
-the reports do not depend on it.
+the reports do not depend on it. A region keeps up to four such supports.
+
+Candidates are `PerturbationMatrix` values: integer numerators over one
+denominator. The draw, the ball check and the certificates run on those
+integers. Fractions are made only where they are consumed: the rows of an
+LP that a certificate could not spare, the substitution re-check of a
+refutation, `perturbed_instance`, and reports.
 """
 
 import itertools
@@ -24,7 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
-from .certify import Domination, VOPInstance, _verify_domination, efficiency_check
+from .certify import (
+    Domination, PerturbationMatrix, VOPInstance, _verify_domination,
+    efficiency_check,
+)
 from .errors import ConsistencyError, InstanceFormatError
 from .funcs import AffinePiece, PieceFn, QuadPiece
 from .rationals import Vec, vadd
@@ -34,20 +43,6 @@ NO_COUNTEREXAMPLE = "NoCounterexampleFound"
 
 # random entries live on the k/2^20 grid before rescaling
 LATTICE_BITS = 20
-
-
-@dataclass(frozen=True)
-class PerturbationMatrix:
-    """A p x n rational matrix added row-wise to the objective as Cx."""
-
-    rows: Tuple[Vec, ...]
-
-    def frobenius_sq(self) -> Fraction:
-        return sum((c * c for row in self.rows for c in row), Fraction(0))
-
-    def in_ball(self, r: Fraction) -> bool:
-        # strict: the ball of radius r is open
-        return self.frobenius_sq() < r * r
 
 
 @dataclass(frozen=True)
@@ -81,15 +76,14 @@ class RadiusEstimate:
 
 
 def zero_matrix(p: int, n: int) -> PerturbationMatrix:
-    row = tuple(Fraction(0) for _ in range(n))
-    return PerturbationMatrix(tuple(row for _ in range(p)))
+    return PerturbationMatrix.from_ints(((0,) * n,) * p, 1)
 
 
-def _entry_matrix(p: int, n: int, entries) -> PerturbationMatrix:
-    rows = [[Fraction(0)] * n for _ in range(p)]
-    for (i, j), v in entries:
-        rows[i][j] = v
-    return PerturbationMatrix(tuple(tuple(r) for r in rows))
+def _entry_matrix(p: int, n: int, den: int, entries) -> PerturbationMatrix:
+    nums = [[0] * n for _ in range(p)]
+    for (i, j), k in entries:
+        nums[i][j] = k
+    return PerturbationMatrix.from_ints(nums, den)
 
 
 class _Patterns:
@@ -104,14 +98,15 @@ class _Patterns:
         return 2 * c * c    # 2c singles, 4 signs for each of c(c-1)/2 pairs
 
     def __iter__(self) -> Iterator[PerturbationMatrix]:
-        p, n, rho = self.p, self.n, self.rho
+        p, n = self.p, self.n
+        k, den = self.rho.numerator, self.rho.denominator
         cells = [(i, j) for i in range(p) for j in range(n)]
         for cell in cells:
             for s in (1, -1):
-                yield _entry_matrix(p, n, ((cell, s * rho),))
+                yield _entry_matrix(p, n, den, ((cell, s * k),))
         for a, b in itertools.combinations(cells, 2):
             for s1, s2 in ((1, 1), (1, -1), (-1, -1), (-1, 1)):
-                yield _entry_matrix(p, n, ((a, s1 * rho), (b, s2 * rho)))
+                yield _entry_matrix(p, n, den, ((a, s1 * k), (b, s2 * k)))
 
 
 def structured_patterns(p: int, n: int, r: Fraction) -> _Patterns:
@@ -128,18 +123,18 @@ def structured_patterns(p: int, n: int, r: Fraction) -> _Patterns:
 
 def _random_matrix(rng: random.Random, p: int, n: int, r: Fraction) -> PerturbationMatrix:
     den = 1 << LATTICE_BITS
-    entries = [[Fraction(rng.randint(-den, den), den) for _ in range(n)]
-               for _ in range(p)]
-    fro = sum((c * c for row in entries for c in row), Fraction(0))
-    if fro == 0:
-        return PerturbationMatrix(tuple(tuple(row) for row in entries))
-    # t*t > fro, so scaling by r*mag/t keeps the squared norm strictly
-    # below r^2 without ever leaving rational arithmetic
-    t = math.isqrt(int(fro)) + 1
-    mag = Fraction(rng.randint(1, den), den)
-    alpha = Fraction(r) * mag / t
-    return PerturbationMatrix(tuple(tuple(alpha * c for c in row)
-                                    for row in entries))
+    ks = [[rng.randint(-den, den) for _ in range(n)] for _ in range(p)]
+    total = sum(k * k for row in ks for k in row)
+    if total == 0:
+        return zero_matrix(p, n)
+    # the entries k / den have squared norm fro = total / den^2 < t^2, so
+    # scaling them by r * (mag / den) / t keeps it strictly below r^2; all
+    # in integers: entry = r.num * mag * k / (r.den * den^2 * t)
+    t = math.isqrt(total >> 2 * LATTICE_BITS) + 1
+    scale = r.numerator * rng.randint(1, den)
+    return PerturbationMatrix.from_ints(
+        [[scale * k for k in row] for row in ks],
+        r.denominator * den * den * t)
 
 
 def perturbed_instance(inst: VOPInstance, matrix: PerturbationMatrix) -> VOPInstance:
@@ -201,7 +196,7 @@ def _scan(inst: VOPInstance, xbar: Vec, problem: Optional[Domination],
     for idx, matrix in enumerate(candidates):
         if not matrix.in_ball(r):
             raise ConsistencyError("perturbation candidate outside the open ball")
-        res = (problem.point(matrix.rows) if exact else
+        res = (problem.point(matrix) if exact else
                efficiency_check(perturbed_instance(inst, matrix), xbar))
         if res.efficient:
             continue

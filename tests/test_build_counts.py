@@ -1,6 +1,7 @@
 """Each cone is built once per (instance, candidate), the gap polytope and
 the oracle's domination problem once per call (one for all of a radius
 estimate's levels), and each gap matrix costs one decision of that problem.
+An oracle candidate that a certificate settles builds no Fraction rows.
 
 Functions are counted wherever a vopcert module binds them: a
 `from .geometry import g1_cone` copies the binding into the importing
@@ -20,7 +21,9 @@ from vopcert.geometry import (
     ConicBlockSet, PolyhedralSet, validate_ordering_cone,
 )
 from vopcert.instances import report_document
-from vopcert.oracle import NO_COUNTEREXAMPLE, radius_estimate, robust_oracle
+from vopcert.oracle import (
+    NO_COUNTEREXAMPLE, PerturbationMatrix, radius_estimate, robust_oracle,
+)
 
 ORTHANT2 = validate_ordering_cone(2, rows=(qv(-1, 0), qv(0, -1)))
 K_EX = validate_ordering_cone(2, rows=(qv(-1, -1), qv(-1, 0)))
@@ -194,6 +197,47 @@ def test_oracle_builds_the_domination_problem_once(monkeypatch):
         # supports settle every later candidate without an LP
         assert per_candidate == [4] + [0] * (32 + budget)
         monkeypatch.undo()
+
+
+def test_certified_candidates_stay_integer(monkeypatch):
+    # a certified point where the zero matrix's LPs settle every region:
+    # each later candidate is drawn, checked against the ball and settled
+    # by certificate in integers, without Fraction rows or `integer_row`
+    inst = VOPInstance((maxfn(af([1, 0]), af([-1, 0])),
+                        maxfn(af([0, 1]), af([0, -1]))),
+                       PolyhedralSet((), ()), ORTHANT2, 2)
+    conversions = _count(monkeypatch, "rationals", "integer_row")
+    lps = _count(monkeypatch, "linprog", "lp_solve", only_in="certify")
+    # per candidate decided: integer_row calls so far, LPs it made
+    decided = []
+    decide = Domination.point
+
+    def spy(problem, shift=None):
+        before = len(lps)
+        result = decide(problem, shift)
+        decided.append((len(conversions), len(lps) - before))
+        return result
+
+    monkeypatch.setattr(Domination, "point", spy)
+    built = []     # Fraction rows made or read after the zero matrix
+    rows, init = PerturbationMatrix.rows, PerturbationMatrix.__init__
+
+    def rows_spy(matrix):
+        if decided:
+            built.append(matrix)
+        return rows.fget(matrix)
+
+    def init_spy(matrix, *args):
+        if decided:
+            built.append(args)
+        init(matrix, *args)
+
+    monkeypatch.setattr(PerturbationMatrix, "rows", property(rows_spy))
+    monkeypatch.setattr(PerturbationMatrix, "__init__", init_spy)
+    rep = robust_oracle(inst, qv(0, 0), Q(1, 1000), budget=200)
+    assert rep.outcome == NO_COUNTEREXAMPLE and rep.samples_tried == 200
+    assert [lp for _, lp in decided] == [4] + [0] * (32 + 200)
+    assert len(conversions) == decided[0][0] and built == []
 
 
 def test_radius_estimate_builds_the_domination_problem_once(monkeypatch):

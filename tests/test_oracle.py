@@ -1,7 +1,9 @@
 """Perturbation oracle: structured patterns, lattice samples, radius probes."""
 
+import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +31,9 @@ WHOLE_LINE = PolyhedralSet((), ())
 EX_INSTANCE = VOPInstance((maxfn(af([0]), af([1])), minfn(af([-1]), af([0]))),
                           WHOLE_LINE, K_EX, 1)
 UNIT_01 = PolyhedralSet((qv(1), qv(-1)), qv(1, 0))
+# f = (|x|, -x) on [1, 2]: the region x <= 0 of |x| misses the feasible set
+ABS_ON_1_2 = VOPInstance((maxfn(af([1]), af([-1])), smooth(af([-1]))),
+                         PolyhedralSet((qv(1), qv(-1)), qv(2, -1)), ORTHANT2, 1)
 
 
 def _assert_dominates(inst, matrix, xbar, y):
@@ -63,6 +68,79 @@ def test_random_matrices_stay_in_open_ball():
     for _ in range(200):
         m = _random_matrix(rng, 2, 2, Q(1, 7))
         assert m.frobenius_sq() < Q(1, 49)
+
+
+def _fraction_draw(rng, p, n, r):
+    """The lattice draw computed in Fraction arithmetic throughout."""
+    den = 1 << oracle.LATTICE_BITS
+    entries = [[Fraction(rng.randint(-den, den), den) for _ in range(n)]
+               for _ in range(p)]
+    fro = sum((c * c for row in entries for c in row), Fraction(0))
+    if fro == 0:
+        return tuple(tuple(row) for row in entries)
+    t = math.isqrt(int(fro)) + 1
+    mag = Fraction(rng.randint(1, den), den)
+    alpha = Fraction(r) * mag / t
+    return tuple(tuple(alpha * c for c in row) for row in entries)
+
+
+def _fraction_in_ball(rows, r):
+    return sum((c * c for row in rows for c in row), Fraction(0)) < r * r
+
+
+def test_integer_draw_matches_the_fraction_draw():
+    # the same randint calls in the same order, the same matrix, and the
+    # same ball verdicts as Fraction arithmetic gives
+    rng, ref = random.Random(2026), random.Random(2026)
+    draws = 0
+    for p in (2, 3):
+        for n in range(1, 5):
+            for r in (Q(1, 1000), Q(1, 10), Q(1), Q(7, 3), Q(10**6)):
+                for _ in range(50):
+                    m = _random_matrix(rng, p, n, r)
+                    rows = _fraction_draw(ref, p, n, r)
+                    assert m.rows == rows
+                    assert rng.getstate() == ref.getstate()
+                    # lowest terms: equal values are equal fields
+                    same = PerturbationMatrix(rows)
+                    assert (m.nums, m.den) == (same.nums, same.den)
+                    assert m == same and hash(m) == hash(same)
+                    assert m.frobenius_sq() == sum(c * c for row in rows
+                                                   for c in row)
+                    for s in (r, r / 2, r / 10, r / 100):
+                        assert m.in_ball(s) == _fraction_in_ball(rows, s)
+                    draws += 1
+    assert draws == 2000
+
+
+class _ZeroRng:
+    """Draws 0 from every randint call and records the calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def randint(self, a, b):
+        self.calls.append((a, b))
+        return 0
+
+
+def test_all_zero_draw_is_the_zero_matrix():
+    got, ref = _ZeroRng(), _ZeroRng()
+    m = _random_matrix(got, 3, 2, Q(1, 10))
+    assert m.rows == _fraction_draw(ref, 3, 2, Q(1, 10))
+    assert m == zero_matrix(3, 2) and m.den == 1
+    # six entries and no magnitude draw
+    den = 1 << oracle.LATTICE_BITS
+    assert got.calls == ref.calls == [(-den, den)] * 6
+
+
+def test_ball_boundary_is_excluded():
+    for r in (Q(1, 1000), Q(1, 10), Q(1), Q(7, 3), Q(10**6)):
+        edge = PerturbationMatrix(((r * Q(3, 5), r * Q(4, 5)),))
+        assert edge.frobenius_sq() == r * r
+        assert not edge.in_ball(r) and not _fraction_in_ball(edge.rows, r)
+        wider = r * Q(10**6 + 1, 10**6)
+        assert edge.in_ball(wider) and _fraction_in_ball(edge.rows, wider)
 
 
 def test_shifted_domination_decides_the_perturbed_instance():
@@ -127,8 +205,7 @@ def test_long_lived_domination_answers_as_a_fresh_one(monkeypatch):
 def test_empty_region_costs_one_lp_per_problem(monkeypatch):
     # |x| has the region x <= 0, which misses [1, 2]: the Farkas vector of
     # its first LP uses no cone row, so no shift can revive it
-    inst = VOPInstance((maxfn(af([1]), af([-1])), smooth(af([-1]))),
-                       PolyhedralSet((qv(1), qv(-1)), qv(2, -1)), ORTHANT2, 1)
+    inst = ABS_ON_1_2
     module = sys.modules["vopcert.certify"]
     solve = module.lp_solve
     infeasible = []
@@ -146,6 +223,43 @@ def test_empty_region_costs_one_lp_per_problem(monkeypatch):
     # a new problem starts over
     robust_oracle(inst, qv(Q(3, 2)), Q(1, 10), budget=5)
     assert len(infeasible) == 2
+
+
+def test_kept_supports_settle_shifts_of_either_sign(monkeypatch):
+    # c(0) = 0 gives the zero matrix an empty support, and each later
+    # settling support fits shifts of one sign only: keeping the last few
+    # settles both signs without an LP
+    module = sys.modules["vopcert.certify"]
+    solve = module.lp_solve
+    lps = []
+
+    def spy(*args):
+        lps.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(module, "lp_solve", spy)
+    rep = robust_oracle(ABS_ON_1_2, qv(Q(3, 2)), Q(1, 10), budget=200)
+    assert rep.outcome == NO_COUNTEREXAMPLE and rep.samples_tried == 200
+    assert len(lps) <= 8
+
+
+def test_region_keeps_four_distinct_supports_newest_first():
+    region = Domination(ABS_ON_1_2, qv(Q(3, 2)))._regions[0]
+    width = len(region.fixed) + len(region.cone_a)
+
+    def dual(*rows):
+        return tuple(Q(1) if i in rows else Q(0) for i in range(width))
+
+    def kept():
+        return [tuple(i for i, _ in s) for s in region.supports]
+
+    for rows in ((0,), (1,), (0, 1), (2,)):
+        region.settle(dual(*rows))
+    assert kept() == [(2,), (0, 1), (1,), (0,)]
+    region.settle(dual(1))      # a kept support moves to the front
+    assert kept() == [(1,), (2,), (0, 1), (0,)]
+    region.settle(dual())       # a fifth drops the oldest
+    assert kept() == [(), (1,), (2,), (0, 1)]
 
 
 def test_domination_refuses_quadratic_objectives():
