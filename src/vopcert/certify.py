@@ -45,8 +45,8 @@ from .geometry import (
 )
 from .linprog import INFEASIBLE, OPTIMAL, le, lp_solve
 from .rationals import (
-    Mat, Q1, Vec, dedup_rows, integer_row, is_zero_vec, lincomb, mat_vec,
-    unique_solution, vadd, vdot, vneg, vscale, vsub,
+    Mat, Q1, Vec, dedup_rows, eliminator, integer_row, is_zero_vec, lincomb,
+    mat_vec, vadd, vdot, vneg, vscale, vsub,
 )
 
 ROBUST_CERTIFIED = "RobustCertified"
@@ -251,6 +251,52 @@ class PerturbationMatrix:
 KEPT_SUPPORTS = 4
 
 
+class _DualSystem:
+    """The dual system of a support S, A_S u = c on the first n entries of
+    its columns, eliminated once by `eliminator`, with the weak-duality
+    weights w_i = b_i L / d_i, L = lcm(d)."""
+
+    __slots__ = ("e", "k", "w", "lcm")
+
+    def __init__(self, cols, n: int):
+        elim = eliminator(cols, n)
+        self.e = None            # dependent columns: never a unique u
+        if elim is not None:
+            self.e, d = elim
+            self.k, self.lcm = len(d), math.lcm(*d)
+            self.w = [col[n] * (self.lcm // di) for col, di in zip(cols, d)]
+
+    def settles(self, target) -> bool:
+        """Whether the unique u with A_S u = target[:n] exists, is >= 0 and
+        has u . b_S <= target[n]: with e = E target, u_i = e_i / d_i."""
+        if self.e is None:
+            return False
+        # each row of E has n entries, so zip reads target[:n]
+        e = [sum(a * b for a, b in zip(row, target)) for row in self.e]
+        k = self.k
+        return (not any(e[k:]) and all(x >= 0 for x in e[:k])
+                and sum(w * x for w, x in zip(self.w, e))
+                <= self.lcm * target[-1])
+
+
+class _Support:
+    """The support of a dual that settled a region. Iterates as (i, (row,
+    rhs) for C = 0, as `integer_row` gives them) for each row i where that
+    dual is nonzero.
+
+    A support of fixed relations only is the same system under every
+    shift; its `_DualSystem` is built on first use and kept in `system`.
+    """
+
+    __slots__ = ("rows", "fixed", "system")
+
+    def __init__(self, rows: tuple, fixed: bool):
+        self.rows, self.fixed, self.system = rows, fixed, None
+
+    def __iter__(self):
+        return iter(self.rows)
+
+
 @dataclass
 class _Region:
     """One full-dimensional selection region of a Domination: its LP for
@@ -261,10 +307,8 @@ class _Region:
     cone_b: Vec                 # M (b_s - f(xbar)): their right-hand sides
     c: Vec                      # ssum A_s, the objective
     const: Fraction             # ssum (b_s - f(xbar))
-    # up to KEPT_SUPPORTS distinct supports of past settling duals, newest
-    # first: for each row i where that dual is nonzero, (i, (coefficients,
-    # rhs) for C = 0 as `integer_row` gives them); and (c, -const) the same
-    # way
+    # up to KEPT_SUPPORTS distinct `_Support`s of past settling duals,
+    # newest first; and (c, -const) as `integer_row` gives it
     supports: list = field(default_factory=list)
     obj: Optional[tuple] = None
 
@@ -280,8 +324,11 @@ class _Region:
                 else:
                     row, rhs = self.cone_a[i - nfixed], self.cone_b[i - nfixed]
                 rows.append((i, integer_row((*row, rhs))))
-        support = tuple(rows)
-        older = [s for s in self.supports if s != support]
+        rows = tuple(rows)
+        support = next((s for s in self.supports if s.rows == rows), None)
+        if support is None:
+            support = _Support(rows, all(i < nfixed for i, _ in rows))
+        older = [s for s in self.supports if s is not support]
         self.supports = [support] + older[:KEPT_SUPPORTS - 1]
         self.obj = integer_row((*self.c, -self.const))
 
@@ -300,11 +347,14 @@ class Domination:
     A settled region (its LP optimum shows no domination) keeps the support
     S of that optimum's dual, with up to three earlier distinct ones, and
     tries them newest first. Under a later shift, the unique u with
-    A_S(C)^T u = c(C), re-checked by substitution, with u >= 0 and
-    u . b_S(C) + const(C) <= 0 proves by weak duality that the region's LP
-    is infeasible or has a value that cannot dominate, so the region is
-    settled without an LP; the check runs on integer rows, each pair (row,
-    rhs) scaled by a positive factor, which moves no sign. A region whose
+    A_S(C)^T u = c(C), with u >= 0 and u . b_S(C) + const(C) <= 0, proves
+    by weak duality that the region's LP is infeasible or has a value that
+    cannot dominate, so the region is settled without an LP; the check
+    runs on integer rows, each pair (row, rhs) scaled by a positive factor,
+    which moves no sign. A support of fixed relations only has the same
+    A_S under every shift: it is eliminated once, on first use, with the
+    identity E A_S = [diag(d); 0] checked by substitution then, and each
+    later shift costs n + 1 integer dot products. A region whose
     infeasibility a Farkas vector proves from its fixed relations alone is
     empty under every shift and is dropped. Neither shortcut can report a
     domination, so the first dominating region and its LP are those of a
@@ -329,6 +379,7 @@ class Domination:
         # M = mi / md and xbar = xi / xd in integers
         flat, self._md = integer_row([v for m in cone_rows for v in m])
         self._mi = [flat[k:k + inst.p] for k in range(0, len(flat), inst.p)]
+        self._si = [sum(col) for col in zip(*self._mi)]   # ssum = si / md
         self._xi, self._xd = integer_row(xbar)
         self._regions = []
         for sel in full_dim_selections(inst.objectives, n):
@@ -341,18 +392,19 @@ class Domination:
                 tuple(vdot(m, gap) for m in cone_rows),
                 lincomb(self._ssum, a, n), vdot(self._ssum, gap)))
 
-    def _shift_ints(self, shift: PerturbationMatrix):
-        """(M C, M C xbar) for each cone row and their sum, as integer
-        vectors over one positive denominator."""
-        n, kmat = self.inst.n, shift.nums
-        moves = []
-        for mrow in self._mi:
-            mk = [sum(m * krow[j] for m, krow in zip(mrow, kmat))
-                  for j in range(n)]
-            moves.append([v * self._xd for v in mk] +
-                         [sum(v * x for v, x in zip(mk, self._xi))])
-        return (moves, [sum(col) for col in zip(*moves)],
-                self._md * shift.den * self._xd)
+    def _move(self, mrow, shift: PerturbationMatrix):
+        """(m C, m C xbar) for an integer row m over the cone's p entries,
+        as integers over md * den * xd, where M = mi / md and C, xbar are
+        nums / den and xi / xd."""
+        mk = [sum(m * krow[j] for m, krow in zip(mrow, shift.nums))
+              for j in range(self.inst.n)]
+        return ([v * self._xd for v in mk] +
+                [sum(v * x for v, x in zip(mk, self._xi))])
+
+    def _lift(self, shift: PerturbationMatrix):
+        """(ssum C, ssum C xbar) and its denominator: what a shift adds to
+        every region's (objective, -constant), in integers."""
+        return self._move(self._si, shift), self._md * shift.den * self._xd
 
     def point(self, shift=None) -> EfficiencyResult:
         """Decide f + C. with C = shift, or f itself.
@@ -373,12 +425,12 @@ class Domination:
                 shift = PerturbationMatrix(shift)
             if [len(c) for c in shift.nums] != [n] * inst.p:
                 raise InstanceFormatError("shift must have p rows of n entries")
-        moves = deltas = None   # built when a region first needs them
+        lift = deltas = None    # built when a region first needs them
         for region in self._regions:
             if region.supports:
-                if shift is not None and moves is None:
-                    moves = self._shift_ints(shift)
-                if any(self._certified(region, support, moves)
+                if shift is not None and lift is None:
+                    lift = self._lift(shift)
+                if any(self._certified(region, support, shift, lift)
                        for support in region.supports):
                     continue
             # cone rows on w = f(xbar) - (A y + b): m.w <= 0; objective
@@ -421,36 +473,36 @@ class Domination:
             return EfficiencyResult(False, y)
         return EfficiencyResult(True)
 
-    def _certified(self, region: _Region, support, moves) -> bool:
-        """Whether support, one of the region's, settles it under the shift
-        whose `_shift_ints` are moves (None for no shift).
+    def _certified(self, region: _Region, support: _Support, shift,
+                   lift) -> bool:
+        """Whether support, one of the region's, settles it under shift,
+        whose `_lift` is lift (both None for no shift).
 
-        The unique u with sum_i u_i cols_i = target on the first n entries,
-        re-checked by substitution, is a dual point when u >= 0; weak duality
-        then bounds the LP value plus const by u . b_S + const, which is
-        sum_i u_i cols_i[n] - target[n].
+        Under C the target is (c(C), -const(C)) and each cone row of the
+        support moves by (M_i C, M_i C xbar). The unique u with
+        sum_i u_i cols_i = target on the first n entries is a dual point
+        when u >= 0; weak duality then bounds the LP value plus const by
+        u . b_S + const, which is sum_i u_i cols_i[n] - target[n]. A
+        support of fixed rows is eliminated once, on first use; one that
+        touches a cone row is eliminated under each shift.
         """
-        n, nfixed = self.inst.n, len(region.fixed)
         target, tden = region.obj
-        if moves is not None:
-            row_moves, total, dv = moves
+        if lift is not None:
+            total, dv = lift
             target = [a * dv + b * tden for a, b in zip(target, total)]
-        cols = []
-        for i, (ints, rden) in support:
-            if moves is not None and i >= nfixed:
-                ints = [a * dv - b * rden
-                        for a, b in zip(ints, row_moves[i - nfixed])]
-            cols.append(ints)
-        sol = unique_solution([col[:n] for col in cols], target[:n])
-        if sol is None:
-            return False
-        nums, uden = sol
-        if any(u < 0 for u in nums):
-            return False
-        sums = [sum(u * col[j] for u, col in zip(nums, cols))
-                for j in range(n + 1)]
-        return (all(sums[j] == uden * target[j] for j in range(n))
-                and sums[n] <= uden * target[n])
+        system = support.system
+        if system is None:
+            nfixed = len(region.fixed)
+            cols = []
+            for i, (ints, rden) in support:
+                if lift is not None and i >= nfixed:
+                    move = self._move(self._mi[i - nfixed], shift)
+                    ints = [a * dv - b * rden for a, b in zip(ints, move)]
+                cols.append(ints)
+            system = _DualSystem(cols, self.inst.n)
+            if support.fixed:
+                support.system = system
+        return system.settles(target)
 
 
 def efficiency_check(inst: VOPInstance, xbar: Vec) -> EfficiencyResult:

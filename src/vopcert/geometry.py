@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 from .cones import (
     ConeHRep, ConeVRep, cone_is_trivial, dd_generators_from_halfspaces,
-    dd_halfspaces_from_generators, hrep_equal, hrep_subset,
+    dd_halfspaces_from_generators, hrep_equal,
 )
 from .errors import (
     ConsistencyError, EmptyInteriorError, InfeasiblePointError, NotPointedError,
@@ -341,14 +341,3 @@ def cones_coincide_check(components: Sequence[PieceFn],
                          cone: OrderingCone, xbar: Vec) -> Optional[bool]:
     return cones_coincide(g1_cone(components, cone, xbar),
                           g2_cone(components, cone, xbar))
-
-
-def nonascent_containment(components: Sequence[PieceFn], cone: OrderingCone,
-                          xbar: Vec) -> bool:
-    """Componentwise cone is contained in the scalarized cone (invariant)."""
-    g2 = g2_cone(components, cone, xbar)
-    if not g2.exact:
-        return True  # cannot be checked exactly; not a violation
-    g1 = g1_cone(components, cone, xbar)
-    ok, _ = hrep_subset(g1, g2.hrep)
-    return ok

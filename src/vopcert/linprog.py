@@ -412,9 +412,3 @@ def feasible_point(relations: Sequence[Relation], n: int,
         if vdot(r, x) > b:
             raise LpInternalError("feasible point failed substitution check")
     return x
-
-
-def verify_farkas(relations: Sequence[Relation], n: int, y: Sequence[Fraction]) -> bool:
-    """Substitution-only re-check of an infeasibility certificate."""
-    rows, rhs = normalize_relations(relations, n)
-    return _check_farkas(rows, rhs, tuple(y))

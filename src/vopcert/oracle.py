@@ -15,6 +15,9 @@ so by weak duality the region's LP value is at most u . b_S(C). If that
 bound plus the objective's constant is <= 0, the region cannot dominate
 and the LP is skipped. That is the same verdict the LP would give, so
 the reports do not depend on it. A region keeps up to four such supports.
+When S holds only the region's and the feasible set's rows, A_S does not
+move with C: the system is eliminated once, its identity checked by
+substitution then, and each candidate solves it by integer dot products.
 
 Candidates are `PerturbationMatrix` values: integer numerators over one
 denominator. The draw, the ball check and the certificates run on those

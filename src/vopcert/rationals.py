@@ -3,7 +3,8 @@
 Everything downstream (LP, cones, certificates) goes through these helpers, so
 no float ever enters the certificate path. Elimination (`row_echelon`,
 `matrix_rank`, `nullspace_basis`, `invert`) runs on integer rows and converts
-back to Fractions only for its result.
+back to Fractions only for its result; `eliminator` keeps the integer row
+operations that reduce a system, so it can be solved for many targets.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
+
+from .errors import ConsistencyError
 
 Q = Fraction
 Vec = Tuple[Fraction, ...]
@@ -197,22 +200,44 @@ def _gauss_jordan(rows):
     return r, pivots, rows
 
 
-def unique_solution(vectors: Sequence[Sequence[int]],
-                    target: Sequence[int]) -> Optional[Tuple[list, int]]:
-    """Integer vectors: (nums, den) with den > 0 such that u = nums / den is
-    the one solution of sum_i u_i vectors[i] == target.
+def eliminator(vectors: Sequence[Sequence[int]], n: int):
+    """(E, d) for the n x k matrix A whose column i is the first n entries of
+    integer vector i: E an invertible n x n integer matrix and d k positive
+    ints with E A = [diag(d); 0].
 
-    None when the vectors are dependent or target lies outside their span.
-    The caller re-checks u by substitution.
+    So A u = t exactly when (E t)_i = d_i u_i for i < k and (E t)_i = 0 for
+    i >= k: a system is eliminated once and then solved for any number of
+    targets by dot products. None when the columns are dependent.
+
+    Gauss-Jordan runs on [A | I]: the first k pivots fall on A's columns
+    and the rest on unit columns e_j, j in J, so E [A | e_J] is diagonal
+    with a nonzero diagonal. That identity is checked by substitution
+    before return; it proves both E A = [diag(d); 0] and that E is
+    invertible, and a failure raises ConsistencyError.
     """
     k = len(vectors)
     _, pivots, rows = _gauss_jordan(
-        [[v[j] for v in vectors] + [t] for j, t in enumerate(target)])
-    if pivots != list(range(k)):
+        [[v[j] for v in vectors] + [int(i == j) for i in range(n)]
+         for j in range(n)])
+    if pivots[:k] != list(range(k)):
         return None
-    # Gauss-Jordan: row i reads rows[i][i] * u_i == rows[i][k]
-    den = math.lcm(*(rows[i][i] for i in range(k)))
-    return [rows[i][k] * (den // rows[i][i]) for i in range(k)], den
+    e = [row[k:] for row in rows]
+    for i in range(k):
+        if rows[i][i] < 0:
+            e[i] = [-x for x in e[i]]
+    basis = [v[:n] for v in vectors] + \
+        [[int(i == j - k) for i in range(n)] for j in pivots[k:]]
+    if len(basis) != n:     # E [A | e_J] must be square to prove E invertible
+        raise ConsistencyError("eliminator failed substitution")
+    d = []
+    for i, erow in enumerate(e):
+        for j, col in enumerate(basis):
+            v = sum(a * b for a, b in zip(erow, col))
+            if (v != 0) != (i == j) or (i == j < k and v < 0):
+                raise ConsistencyError("eliminator failed substitution")
+            if i == j < k:
+                d.append(v)
+    return e, d
 
 
 def row_echelon(m: Sequence[Sequence[Fraction]]):

@@ -8,9 +8,13 @@ affine functions.
 from fractions import Fraction
 
 from vopcert.certify import VOPInstance
+from vopcert.cones import hrep_subset
 from vopcert.errors import ConeValidationError
 from vopcert.funcs import MAX, MIN, SMOOTH, AffinePiece, PieceFn, QuadPiece
-from vopcert.geometry import PolyhedralSet, validate_ordering_cone
+from vopcert.geometry import (
+    PolyhedralSet, g1_cone, g2_cone, validate_ordering_cone,
+)
+from vopcert.linprog import _check_farkas, normalize_relations
 from vopcert.rationals import vadd, vdot, vscale
 
 Q = Fraction
@@ -196,3 +200,19 @@ def random_instance(rng, mode="generic", nmax=4, pmax=3):
         xbar = corner if rng.random() < 0.5 else tuple([Q(0)] * n)
     comps = random_pa_components(rng, n, p, mode)
     return VOPInstance(comps, omega, cone, n), xbar
+
+
+def verify_farkas(relations, n, y) -> bool:
+    """Substitution-only re-check of an infeasibility certificate."""
+    rows, rhs = normalize_relations(relations, n)
+    return _check_farkas(rows, rhs, tuple(y))
+
+
+def nonascent_containment(components, cone, xbar) -> bool:
+    """Componentwise cone is contained in the scalarized cone (invariant)."""
+    g2 = g2_cone(components, cone, xbar)
+    if not g2.exact:
+        return True  # cannot be checked exactly; not a violation
+    g1 = g1_cone(components, cone, xbar)
+    ok, _ = hrep_subset(g1, g2.hrep)
+    return ok

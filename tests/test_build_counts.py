@@ -1,7 +1,8 @@
 """Each cone is built once per (instance, candidate), the gap polytope and
 the oracle's domination problem once per call (one for all of a radius
 estimate's levels), and each gap matrix costs one decision of that problem.
-An oracle candidate that a certificate settles builds no Fraction rows.
+An oracle candidate that a certificate settles builds no Fraction rows, and
+a certificate support of fixed rows is eliminated once, not per candidate.
 
 Functions are counted wherever a vopcert module binds them: a
 `from .geometry import g1_cone` copies the binding into the importing
@@ -238,6 +239,34 @@ def test_certified_candidates_stay_integer(monkeypatch):
     assert rep.outcome == NO_COUNTEREXAMPLE and rep.samples_tried == 200
     assert [lp for _, lp in decided] == [4] + [0] * (32 + 200)
     assert len(conversions) == decided[0][0] and built == []
+
+
+def test_certificates_eliminate_once_per_support(monkeypatch):
+    # the instance above: each region keeps the fixed-row support of its
+    # zero-matrix dual, and A_S does not move with C, so each support's
+    # system is eliminated on its first use and every later candidate
+    # reuses it
+    inst = VOPInstance((maxfn(af([1, 0]), af([-1, 0])),
+                        maxfn(af([0, 1]), af([0, -1]))),
+                       PolyhedralSet((), ()), ORTHANT2, 2)
+    elims = _count(monkeypatch, "rationals", "_gauss_jordan")
+    problems, during = set(), []
+    decide = Domination.point
+
+    def spy(problem, shift=None):
+        before = len(elims)
+        result = decide(problem, shift)
+        problems.add(problem)
+        during.append(len(elims) - before)
+        return result
+
+    monkeypatch.setattr(Domination, "point", spy)
+    rep = robust_oracle(inst, qv(0, 0), Q(1, 1000), budget=200)
+    assert rep.outcome == NO_COUNTEREXAMPLE and rep.samples_tried == 200
+    (problem,) = problems
+    supports = sum(len(region.supports) for region in problem._regions)
+    assert len(during) == 1 + 32 + 200 and supports == 4
+    assert sum(during) <= supports
 
 
 def test_radius_estimate_builds_the_domination_problem_once(monkeypatch):

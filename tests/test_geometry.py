@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import Q, af, maxfn, minfn, qp, qv, smooth
+from helpers import Q, af, maxfn, minfn, nonascent_containment, qp, qv, smooth
 from vopcert.cones import (
     ConeHRep, cone_is_trivial, dd_generators_from_halfspaces,
     dd_halfspaces_from_generators, hrep_equal, hrep_subset,
@@ -15,7 +15,7 @@ from vopcert.errors import (
 )
 from vopcert.geometry import (
     ConicBlockSet, DiscretizedSet, PolyhedralSet, cones_coincide_check, conic_support,
-    feasible_contains, g1_cone, g2_cone, nonascent_containment, normal_cone,
+    feasible_contains, g1_cone, g2_cone, normal_cone,
     slater_point, tangent_cone, validate_ordering_cone,
 )
 from vopcert.rationals import is_zero_vec, vdot, vscale

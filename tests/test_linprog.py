@@ -8,9 +8,10 @@ machinery exists; here the witnesses carry the weight.
 import random
 from fractions import Fraction as Q
 
+from helpers import verify_farkas
 from vopcert.linprog import (
     INFEASIBLE, OPTIMAL, UNBOUNDED,
-    eq, feasible_point, ge, le, lp_solve, normalize_relations, verify_farkas,
+    eq, feasible_point, ge, le, lp_solve, normalize_relations,
 )
 from vopcert.rationals import vdot
 

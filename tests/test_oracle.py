@@ -4,13 +4,15 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 from helpers import Q, af, maxfn, minfn, qp, qv, random_instance, smooth
-from vopcert import oracle
+from vopcert import oracle, rationals
 from vopcert.certify import (
-    Domination, VOPInstance, certify, efficiency_check, NOT_ROBUST_CERTIFIED,
+    Domination, VOPInstance, _Support, certify, efficiency_check,
+    NOT_ROBUST_CERTIFIED,
 )
 from vopcert.errors import (
     CapabilityError, ConsistencyError, InstanceFormatError,
@@ -23,7 +25,7 @@ from vopcert.oracle import (
     radius_estimate, robust_oracle, structured_patterns, zero_matrix,
     _random_matrix,
 )
-from vopcert.rationals import is_zero_vec, vsub
+from vopcert.rationals import eliminator, integer_row, is_zero_vec, vsub
 
 K_EX = validate_ordering_cone(2, rows=(qv(-1, -1), qv(-1, 0)))
 ORTHANT2 = validate_ordering_cone(2, rows=(qv(-1, 0), qv(0, -1)))
@@ -260,6 +262,119 @@ def test_region_keeps_four_distinct_supports_newest_first():
     assert kept() == [(1,), (2,), (0, 1), (0,)]
     region.settle(dual())       # a fifth drops the oldest
     assert kept() == [(), (1,), (2,), (0, 1)]
+
+
+def _reference_unique_solution(vectors, target):
+    """The unique u with sum_i u_i vectors[i] == target as (nums, den), or
+    None: Gauss-Jordan on [A | target], once per call."""
+    k = len(vectors)
+    _, pivots, rows = rationals._gauss_jordan(
+        [[v[j] for v in vectors] + [t] for j, t in enumerate(target)])
+    if pivots != list(range(k)):
+        return None
+    den = math.lcm(*(rows[i][i] for i in range(k)))
+    return [rows[i][k] * (den // rows[i][i]) for i in range(k)], den
+
+
+def _reference_certified(problem, region, support, shift):
+    """The certificate as a fresh solve per call: every cone row moved by
+    (M_i C, M_i C xbar), the unique u re-checked by substitution, then
+    u >= 0 and weak duality."""
+    n, nfixed = problem.inst.n, len(region.fixed)
+    target, tden = region.obj
+    if shift is not None:
+        kmat, moves = shift.nums, []
+        for mrow in problem._mi:
+            mk = [sum(m * krow[j] for m, krow in zip(mrow, kmat))
+                  for j in range(n)]
+            moves.append([v * problem._xd for v in mk] +
+                         [sum(v * x for v, x in zip(mk, problem._xi))])
+        total = [sum(col) for col in zip(*moves)]
+        dv = problem._md * shift.den * problem._xd
+        target = [a * dv + b * tden for a, b in zip(target, total)]
+    cols = []
+    for i, (ints, rden) in support:
+        if shift is not None and i >= nfixed:
+            ints = [a * dv - b * rden for a, b in zip(ints, moves[i - nfixed])]
+        cols.append(ints)
+    sol = _reference_unique_solution([col[:n] for col in cols], target[:n])
+    if sol is None:
+        return False
+    nums, uden = sol
+    if any(u < 0 for u in nums):
+        return False
+    sums = [sum(u * col[j] for u, col in zip(nums, cols)) for j in range(n + 1)]
+    return (all(sums[j] == uden * target[j] for j in range(n))
+            and sums[n] <= uden * target[n])
+
+
+def _dependent_support(region):
+    """A fixed-row support whose two rows are parallel: rank 1 of 2."""
+    ints, den = integer_row((*region.fixed[0][0], region.fixed[0][2]))
+    return _Support(((0, (ints, den)), (1, ([2 * v for v in ints], den))),
+                    True)
+
+
+def test_once_eliminated_certificates_match_a_fresh_solve():
+    # each kept support answers every shift as today's per-call solve does:
+    # fixed-row supports from their once-built system, cone-row ones from a
+    # system built under the shift
+    rng = random.Random(0)
+    seen = {"empty": 0, "0<k<n": 0, "dependent": 0, "cone row": 0}
+    outcomes = set()
+    cases = [(ABS_ON_1_2, qv(Q(3, 2)))]
+    cases += [random_instance(rng, ("generic", "descent", "span")[i % 3])
+              for i in range(24)]
+    for inst, xbar in cases:
+        problem = Domination(inst, xbar)
+        shifts = [_random_matrix(rng, inst.p, inst.n, r)
+                  for r in (Q(1, 1000), Q(1, 10), Q(1), Q(10)) for _ in range(4)]
+        extra = []
+        for shift in chain([None], shifts):
+            problem.point(shift)
+            if not extra and problem._regions and problem._regions[0].obj:
+                extra.append((problem._regions[0],
+                              _dependent_support(problem._regions[0])))
+            lift = None if shift is None else problem._lift(shift)
+            kept = [(region, support) for region in problem._regions
+                    for support in region.supports]
+            for region, support in kept + extra:
+                got = problem._certified(region, support, shift, lift)
+                assert got == _reference_certified(problem, region, support,
+                                                   shift)
+                outcomes.add(got)
+                rows = [i for i, _ in support]
+                seen["empty"] += not rows
+                seen["0<k<n"] += 0 < len(rows) < inst.n
+                seen["dependent"] += support.system is not None and \
+                    support.system.e is None
+                seen["cone row"] += any(i >= len(region.fixed) for i in rows)
+    assert outcomes == {True, False}
+    assert all(seen.values()), seen
+
+
+def test_eliminator_identity_and_its_substitution_check(monkeypatch):
+    # E A = [diag(d); 0] with d > 0, E invertible; dependent columns give None
+    cols = [(2, 0, -3), (4, 1, 5)]
+    e, d = eliminator(cols, 3)
+    assert len(e) == 3 and len(d) == 2 and min(d) > 0
+    for i, row in enumerate(e):
+        assert [sum(a * c[j] for j, a in enumerate(row)) for c in cols] == \
+            [d[i] if i == c else 0 for c in range(2)]
+    assert eliminator([(1, 2), (-2, -4)], 2) is None
+    assert eliminator([(1, 0), (0, 1), (1, 1)], 2) is None
+    assert eliminator([], 2) == ([[1, 0], [0, 1]], [])
+    # a wrong reduction fails the one-time check loudly, also under -O
+    solve = rationals._gauss_jordan
+
+    def corrupt(rows):
+        rank, pivots, rows = solve(rows)
+        rows[0][-1] += 1
+        return rank, pivots, rows
+
+    monkeypatch.setattr(rationals, "_gauss_jordan", corrupt)
+    with pytest.raises(ConsistencyError):
+        eliminator(cols, 3)
 
 
 def test_domination_refuses_quadratic_objectives():
