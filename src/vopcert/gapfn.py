@@ -6,13 +6,21 @@ that are efficient for the linear vector problem max_y xi^T(x - y).  A
 robust candidate must admit some xi placing zero in that set.  Zero lies in
 it exactly when x itself is efficient for the linear problem: an efficient
 y with xi^T y = xi^T x gives x the image of y, so x is efficient too, and
-an efficient x is its own such y.  Each matrix xi thus costs one exact
+an efficient x is its own such y.  For one matrix that is one exact
 efficiency check at x, the shift xi of one `certify.Domination` over the
-zero objective.  The search tries the vertex products of the gradient
-polytopes, then seeded convex combinations drawn one at a time, and stops
-at the first matrix that works.  The face lattice of the polytope
-(`enumerate_faces`, `efficient_faces`) is public for inspection; the check
-never walks it.
+zero objective (`zero_in_gap`).
+
+`gap_necessary_check` decides the condition over the whole continuum of
+matrices.  By Isermann's theorem (Oper. Res. 22(1), 1974), x is efficient
+for a linear problem over a polytope with a pointed polyhedral cone K iff
+it minimizes lambda^T xi^T y there for some lambda in int K*: up to scale,
+lambda = sum_l mu_l d_l over the dual generators d_l with every mu_l >= 1.
+Writing lambda_j xi_j = sum_k beta_jk v_jk over the vertices v_jk of the
+j-th gradient polytope, every beta_jk of the sign of lambda_j, the
+first-order condition at x, sum_jk beta_jk v_jk + sum_i u_i a_i = 0 with
+u >= 0 on the active rows a_i, is linear: one LP per sign pattern of
+lambda decides it.  The face lattice of the polytope (`enumerate_faces`,
+`efficient_faces`) is public for inspection; the check never walks it.
 """
 
 import itertools
@@ -34,9 +42,12 @@ from .funcs import (
     polytopes_equal, scalarized_subdiffs, subdiff_contains,
     _minkowski_vertices, _regular_convex_route,
 )
-from .geometry import FeasibleSet, OrderingCone, PolyhedralSet, feasible_contains
-from .linprog import UNBOUNDED, le, lp_solve
-from .rationals import Vec, lincomb, unit, vdot, vscale, zeros
+from .geometry import (
+    FeasibleSet, OrderingCone, PolyhedralSet, feasible_contains,
+    polyhedral_active_rows,
+)
+from .linprog import OPTIMAL, UNBOUNDED, eq, ge, le, lp_solve
+from .rationals import Q0, Q1, Vec, lincomb, unit, vdot, vscale, zeros
 
 GAP_NECESSARY = "gap-necessary"
 
@@ -174,37 +185,6 @@ def zero_in_gap(xbar: Vec, columns: Sequence[Vec], omega: FeasibleSet,
     return _linear_problem(poly, cone, xbar).point(columns).efficient
 
 
-def _vertex_sets(components: Sequence[PieceFn], xbar: Vec):
-    return [clarke_subdiff_component(fn, xbar).vertices for fn in components]
-
-
-def vertex_scalarizations(components: Sequence[PieceFn],
-                          xbar: Vec) -> Tuple[Tuple[Vec, ...], ...]:
-    """Every choice of one gradient-polytope vertex per component."""
-    return tuple(itertools.product(*_vertex_sets(components, xbar)))
-
-
-def _sampled_columns(vertex_sets, seed: int, count: int):
-    """Lazily drawn convex combinations, one column per vertex set."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        cols = []
-        for verts in vertex_sets:
-            weights = [rng.randint(0, 16) for _ in verts]
-            total = sum(weights)
-            if total == 0:
-                weights[0] = total = 1
-            cols.append(tuple(vdot(weights, coords) / total
-                              for coords in zip(*verts)))
-        yield tuple(cols)
-
-
-def sampled_scalarizations(components: Sequence[PieceFn], xbar: Vec,
-                           seed: int, count: int) -> Tuple[Tuple[Vec, ...], ...]:
-    """Seeded random convex combinations inside each gradient polytope."""
-    return tuple(_sampled_columns(_vertex_sets(components, xbar), seed, count))
-
-
 def scalarization_equality(components: Sequence[PieceFn], xbar: Vec,
                            cone: OrderingCone, seed: int = 0):
     """Probe whether scalarized gradients split as weighted Minkowski sums.
@@ -238,22 +218,84 @@ def scalarization_equality(components: Sequence[PieceFn], xbar: Vec,
     return (True, False) if decided_all else (None, False)
 
 
+def _sign_choices(gens, vertex_sets):
+    """Per component, the signs of lambda_j one LP must be run for: 0 (no
+    sign row) for a one-vertex gradient, where beta_j1 = lambda_j; the one
+    sign every dual generator's j-th entry allows; otherwise both."""
+    choices = []
+    for j, verts in enumerate(vertex_sets):
+        col = [d[j] for d in gens]
+        if len(verts) == 1:
+            choices.append((0,))
+        elif all(c >= 0 for c in col):
+            choices.append((1,))
+        elif all(c <= 0 for c in col):
+            choices.append((-1,))
+        else:
+            choices.append((1, -1))
+    return choices
+
+
+def _scalarization_lp(gens, vertex_sets, normals, signs, n: int):
+    """Relations over (mu, beta, u) for one sign pattern: mu >= 1,
+    sum_k beta_jk = lambda_j = sum_l mu_l d_lj, s_j beta_jk >= 0,
+    sum_jk beta_jk v_jk + sum_i u_i a_i = 0 and u >= 0. Every bound is a
+    row, so a Farkas vector covers them all."""
+    nmu, nbeta = len(gens), sum(map(len, vertex_sets))
+    nvar = nmu + nbeta + len(normals)
+    rels = [ge(unit(nvar, l), Q1) for l in range(nmu)]
+    at = nmu
+    for j, (verts, s) in enumerate(zip(vertex_sets, signs)):
+        row = [-d[j] for d in gens] + [Q0] * (nvar - nmu)
+        row[at:at + len(verts)] = [Q1] * len(verts)
+        rels.append(eq(row, Q0))
+        if s:
+            rels.extend(ge(unit(nvar, at + k, s), Q0)
+                        for k in range(len(verts)))
+        at += len(verts)
+    rels.extend(ge(unit(nvar, at + i), Q0) for i in range(len(normals)))
+    vertices = [v for verts in vertex_sets for v in verts]
+    for i in range(n):
+        rels.append(eq([Q0] * nmu + [v[i] for v in vertices]
+                       + [a[i] for a in normals], Q0))
+    return rels, nvar
+
+
+def _scalarization(gens, vertex_sets, x, n: int):
+    """The matrix of a feasible point: xi_j = sum_k beta_jk v_jk / lambda_j,
+    or the first vertex where lambda_j = 0, so that xi_j drops out of
+    lambda^T xi^T."""
+    lam = lincomb(x[:len(gens)], gens, len(vertex_sets))
+    at, xi = len(gens), []
+    for lam_j, verts in zip(lam, vertex_sets):
+        beta = x[at:at + len(verts)]
+        at += len(verts)
+        xi.append(verts[0] if lam_j == 0 else
+                  vscale(Q1 / lam_j, lincomb(beta, verts, n)))
+    return tuple(xi)
+
+
 def gap_necessary_check(inst: VOPInstance, xbar: Vec, seed: int = 0,
                         samples: int = 100) -> ConditionReport:
-    """Search for a scalarization matrix placing zero in the gap set.
+    """Decide whether some matrix xi, xi_j in the j-th generalized gradient,
+    places zero in the gap set, by one exact LP per sign pattern of lambda.
 
-    holds=True whenever some candidate works, regardless of the regularity
-    hypotheses (those only control whether failure would mean anything);
-    holds=False only for smooth objectives, where the single gradient
-    matrix exhausts the search space; otherwise the continuum of candidate
-    matrices leaves a failed search inconclusive.
+    holds=True comes with a witness matrix re-checked twice (`gap_query`,
+    and efficiency of xbar for its linear problem); a failed re-check
+    raises ConsistencyError. holds=False, always exact, rests on the
+    Farkas vectors that lp_solve checks by substitution: no sign pattern's
+    LP is feasible, so by Isermann's theorem no matrix works. Either
+    answer holds regardless of the regularity hypotheses, which only
+    control whether failure refutes robustness. seed drives the hypothesis
+    probes; samples is ignored and kept only so that existing callers
+    keep working: the LP covers the whole matrix continuum, so nothing is
+    sampled.
     """
     if not feasible_contains(inst.feasible, xbar):
         raise InfeasiblePointError("candidate point is infeasible")
     poly = _bounded_polytope(inst.feasible, inst.n)
 
-    smooth_all = all(fn.kind == SMOOTH for fn in inst.objectives)
-    if smooth_all:
+    if all(fn.kind == SMOOTH for fn in inst.objectives):
         regular = True
     else:
         conv = kconvexity_check(inst.objectives,
@@ -266,23 +308,33 @@ def gap_necessary_check(inst: VOPInstance, xbar: Vec, seed: int = 0,
                 f"scalarization-equality={_word(eq3)}"
                 + ("" if eq3_exact else " (sampled)"))
 
-    vertex_sets = _vertex_sets(inst.objectives, xbar)
-    samples = 0 if smooth_all else max(samples, 0)
-    searched = f"searched {math.prod(map(len, vertex_sets))} vertex " \
-               f"matrices, {samples} sampled"
-    linear = _linear_problem(poly, inst.cone, xbar)
-    for xi in itertools.chain(itertools.product(*vertex_sets),
-                              _sampled_columns(vertex_sets, seed, samples)):
-        if linear.point(xi).efficient:
-            return ConditionReport(GAP_NECESSARY, True, witness=xi,
-                                   note=f"{hyp_note}; {searched}")
-    if smooth_all:
-        return ConditionReport(GAP_NECESSARY, False,
-                               note=f"{hyp_note}; gradient matrix is the "
-                                    "only candidate")
-    return ConditionReport(GAP_NECESSARY, None, exact=False,
-                           note=f"{hyp_note}; {searched}; search is not "
-                                "exhaustive over the matrix continuum")
+    gens = inst.cone.dual_neg_gens.generators
+    vertex_sets = [clarke_subdiff_component(fn, xbar).vertices
+                   for fn in inst.objectives]
+    normals = [poly.rows[i] for i in polyhedral_active_rows(poly, xbar)]
+    choices = _sign_choices(gens, vertex_sets)
+    total = math.prod(map(len, choices))
+    for k, signs in enumerate(itertools.product(*choices), 1):
+        rels, nvar = _scalarization_lp(gens, vertex_sets, normals, signs,
+                                       inst.n)
+        res = lp_solve(zeros(nvar), rels)
+        if res.status != OPTIMAL:
+            continue
+        xi = _scalarization(gens, vertex_sets, res.x, inst.n)
+        try:
+            gap_query(inst.objectives, xbar, xi)
+        except InstanceFormatError as exc:
+            raise ConsistencyError(
+                f"gap witness failed re-check: {exc}") from exc
+        if not _linear_problem(poly, inst.cone, xbar).point(xi).efficient:
+            raise ConsistencyError(
+                "gap witness leaves the candidate dominated")
+        return ConditionReport(GAP_NECESSARY, True, witness=xi,
+                               note=f"{hyp_note}; scalarization LP feasible "
+                                    f"on sign pattern {k} of {total}")
+    return ConditionReport(GAP_NECESSARY, False,
+                           note=f"{hyp_note}; scalarization LP infeasible on "
+                                f"{total} of {total} sign patterns")
 
 
 def _word(flag: Optional[bool]) -> str:

@@ -132,8 +132,9 @@ def gap_cases():
          VOPInstance((maxfn(af([1, 0]), af([0, 1])), smooth(af([-1, -1]))),
                      TRIANGLE, ORTHANT2, 2), qv(0, 0)),
     ]
-    # non-smooth at the candidate: the search gives up after every vertex
-    # and sampled matrix, and the fourth of four vertex matrices succeeds
+    # non-smooth at the candidate: no matrix places zero in the gap set of
+    # the first (its name is from the vertex-and-sample search that gave up
+    # there), and a vertex matrix is the witness of the second
     for name, seed in (("gap-search-exhausted", 8), ("gap-vertex-witness", 37)):
         inst, xbar = random_instance(random.Random(seed), "generic", nmax=2,
                                      pmax=2)

@@ -5,12 +5,17 @@ an independent check on the generalized-gradient machinery for piecewise
 affine functions.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 from vopcert.certify import VOPInstance
 from vopcert.cones import hrep_subset
 from vopcert.errors import ConeValidationError
-from vopcert.funcs import MAX, MIN, SMOOTH, AffinePiece, PieceFn, QuadPiece
+from vopcert.funcs import (
+    MAX, MIN, SMOOTH, AffinePiece, PieceFn, QuadPiece,
+    clarke_subdiff_component,
+)
 from vopcert.geometry import (
     PolyhedralSet, g1_cone, g2_cone, validate_ordering_cone,
 )
@@ -216,3 +221,47 @@ def nonascent_containment(components, cone, xbar) -> bool:
     g1 = g1_cone(components, cone, xbar)
     ok, _ = hrep_subset(g1, g2.hrep)
     return ok
+
+
+def _vertex_sets(components, xbar):
+    return [clarke_subdiff_component(fn, xbar).vertices for fn in components]
+
+
+def vertex_scalarizations(components, xbar):
+    """Every choice of one gradient-polytope vertex per component."""
+    return tuple(itertools.product(*_vertex_sets(components, xbar)))
+
+
+def _sampled_columns(vertex_sets, seed, count):
+    """Lazily drawn convex combinations, one column per vertex set."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        cols = []
+        for verts in vertex_sets:
+            weights = [rng.randint(0, 16) for _ in verts]
+            total = sum(weights)
+            if total == 0:
+                weights[0] = total = 1
+            cols.append(tuple(vdot(weights, coords) / total
+                              for coords in zip(*verts)))
+        yield tuple(cols)
+
+
+def sampled_scalarizations(components, xbar, seed, count):
+    """Seeded random convex combinations inside each gradient polytope."""
+    return tuple(_sampled_columns(_vertex_sets(components, xbar), seed, count))
+
+
+def searched_matrix(components, xbar, linear, seed=0, samples=100):
+    """The matrix search the gap check once ran, kept as a reference: the
+    vertex matrices, then seeded convex combinations, stopping at the first
+    for which xbar is efficient in the linear problem `linear` (a
+    `certify.Domination` over the zero objective). None when none works."""
+    vertex_sets = _vertex_sets(components, xbar)
+    if all(len(verts) == 1 for verts in vertex_sets):
+        samples = 0     # the gradient matrix is the only candidate
+    for xi in itertools.chain(itertools.product(*vertex_sets),
+                              _sampled_columns(vertex_sets, seed, samples)):
+        if linear.point(xi).efficient:
+            return xi
+    return None

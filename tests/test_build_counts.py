@@ -1,6 +1,7 @@
 """Each cone is built once per (instance, candidate), the gap polytope and
 the oracle's domination problem once per call (one for all of a radius
-estimate's levels), and each gap matrix costs one decision of that problem.
+estimate's levels), and the gap check costs one LP per sign pattern and one
+decision of its linear problem, the witness re-check.
 An oracle candidate that a certificate settles builds no Fraction rows, and
 a certificate support of fixed rows is eliminated once, not per candidate.
 
@@ -13,7 +14,6 @@ attribute `vopcert.certify` is the function, not the submodule.
 import sys
 
 from helpers import Q, af, maxfn, minfn, qv, smooth
-from vopcert import gapfn
 from vopcert.certify import (
     CONIC_GATE, ROBUST_CERTIFIED, Domination, VOPInstance, certify,
 )
@@ -126,40 +126,32 @@ def test_gap_check_builds_the_polytope_once(monkeypatch):
     faces = _count(monkeypatch, "gapfn", "enumerate_faces")
     gap_lps = _count(monkeypatch, "linprog", "lp_solve", only_in="gapfn")
     points = _count(monkeypatch, "linprog", "feasible_point")
-    # per matrix decided: (feasible_point calls, base point)
+    # per matrix decided: (feasible_point calls, base point, matrix)
     tried = []
     decide = Domination.point
 
     def spy(problem, shift=None):
         before = len(points)
         result = decide(problem, shift)
-        tried.append((len(points) - before, problem.xbar))
+        tried.append((len(points) - before, problem.xbar, shift))
         return result
 
     monkeypatch.setattr(Domination, "point", spy)
-    drawn = []
-    stream = gapfn._sampled_columns
-
-    def counted(*args):
-        for xi in stream(*args):
-            drawn.append(xi)
-            yield xi
-
-    monkeypatch.setattr(gapfn, "_sampled_columns", counted)
     rep = gap_necessary_check(inst, xbar)
-    assert rep.holds is True and "4 vertex matrices, 100 sampled" in rep.note
-    # 4 vertex matrices, then samples drawn only up to the 75th, which works;
-    # one decision at the base point per matrix, no face stage
-    assert len(drawn) == 75 and rep.witness == drawn[-1]
-    assert tried == [(0, xbar)] * 79 and faces == []
+    assert rep.holds is True and "sign pattern 1 of 1" in rep.note
+    # the orthant's dual generators are nonnegative: one sign pattern, so
+    # the 2n boundedness LPs and one gap LP; the witness is then re-checked
+    # by one decision at the base point, and no face is enumerated
     units = sorted(tuple(s * (i == k) for k in range(2))
                    for i in range(2) for s in (1, -1))
-    assert sorted(tuple(args[0]) for args in gap_lps) == units
+    assert sorted(tuple(args[0]) for args in gap_lps[:4]) == units
+    assert len(gap_lps) == 5 and not any(gap_lps[4][0])
+    assert tried == [(0, xbar, rep.witness)] and faces == []
 
 
 def test_gap_check_settled_at_base_point_skips_faces(monkeypatch):
-    # 18 rows exceed the face-enumeration cap; the first matrix already
-    # finds the base point efficient, so the faces are never needed
+    # 18 rows exceed the face-enumeration cap; the LP decides the base
+    # point without the faces
     rows = tuple(qv(1) for _ in range(17)) + (qv(-1),)
     rhs = tuple(qv(*range(1, 18))) + qv(1)
     inst = VOPInstance((smooth(af([1])), smooth(af([-1]))),

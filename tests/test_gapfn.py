@@ -1,14 +1,19 @@
-"""Gap machinery: face enumeration, linear efficiency, scalarization search."""
+"""Gap machinery: face enumeration, linear efficiency, the scalarization LP."""
 
 import pytest
 
-from helpers import Q, af, maxfn, minfn, qv, smooth
+from helpers import (
+    Q, af, maxfn, minfn, qv, sampled_scalarizations, smooth,
+    vertex_scalarizations,
+)
 from vopcert.certify import ROBUST_CERTIFIED, VOPInstance, certify
-from vopcert.errors import CapabilityError, InstanceFormatError
+from vopcert import gapfn
+from vopcert.errors import (
+    CapabilityError, ConsistencyError, InstanceFormatError,
+)
 from vopcert.gapfn import (
     GAP_NECESSARY, enumerate_faces, efficient_faces, gap_necessary_check,
-    gap_query, polytope_vertices, sampled_scalarizations,
-    scalarization_equality, vertex_scalarizations, zero_in_gap,
+    gap_query, polytope_vertices, scalarization_equality, zero_in_gap,
 )
 from vopcert.geometry import PolyhedralSet, validate_ordering_cone
 from vopcert.rationals import vdot
@@ -137,12 +142,17 @@ def test_unbounded_feasible_set_rejected():
 
 
 def test_example_vertex_search_size_and_report():
+    # four vertex matrices, but one LP decides the whole continuum: both
+    # dual generators are nonnegative, so lambda has one sign pattern
     xis = vertex_scalarizations(EX_BOX.objectives, qv(0))
     assert len(xis) == 4
     rep = gap_necessary_check(EX_BOX, qv(0))
-    assert rep.condition == GAP_NECESSARY and rep.holds is True
-    assert rep.witness == (qv(0), qv(0))
-    assert "4 vertex matrices" in rep.note
+    assert rep.condition == GAP_NECESSARY and rep.holds is True and rep.exact
+    assert rep.witness == (qv(Q(1, 2)), qv(-1))
+    assert rep.note.endswith("scalarization LP feasible on sign pattern 1 of 1")
+    assert gap_query(EX_BOX.objectives, qv(0), rep.witness).columns == \
+        rep.witness
+    assert zero_in_gap(qv(0), rep.witness, BOX_SYM, K_EX)
 
 
 def test_example_scalarization_equality_fails_exactly():
@@ -163,10 +173,35 @@ def test_smooth_gradient_single_candidate():
                        ORTHANT2, 1)
     rep = gap_necessary_check(inst, qv(Q(1, 2)))
     assert rep.holds is True and rep.witness == (qv(1), qv(-1))
+    assert rep.note.endswith("sign pattern 1 of 1")
+    assert zero_in_gap(qv(Q(1, 2)), rep.witness, SEGMENT, ORTHANT2)
     aligned = VOPInstance((smooth(af([1])), smooth(af([1]))), SEGMENT,
                           ORTHANT2, 1)
     bad = gap_necessary_check(aligned, qv(1))
-    assert bad.holds is False and "only candidate" in bad.note
+    # one-vertex gradients need no sign row: a single LP, infeasible, and
+    # the gradient matrix, the only candidate, indeed fails
+    assert bad.holds is False and bad.exact and bad.witness is None
+    assert bad.note.endswith("scalarization LP infeasible on 1 of 1 sign "
+                             "patterns")
+    assert not zero_in_gap(qv(1), (qv(1), qv(1)), SEGMENT, ORTHANT2)
+
+
+@pytest.mark.parametrize("forged", [(qv(5, 0), qv(1, 0)),
+                                    (qv(1, 0), qv(1, 1))],
+                         ids=["outside-gradient", "dominated"])
+def test_failed_witness_recheck_raises(monkeypatch, forged):
+    # a matrix the LP did not produce: one column outside its gradient, or
+    # a vertex matrix for which xbar is dominated; either re-check must
+    # raise, with or without -O
+    box = PolyhedralSet((qv(1, 0), qv(-1, 0), qv(0, 1), qv(0, -1)),
+                        qv(1, 1, 1, 1))
+    cone = validate_ordering_cone(2, generators=(qv(1, 1), qv(-1, 1)))
+    inst = VOPInstance((maxfn(af([1, 0]), af([2, 0])),
+                        maxfn(af([1, 1]), af([1, -1]))), box, cone, 2)
+    assert gap_necessary_check(inst, qv(0, 0)).holds is True
+    monkeypatch.setattr(gapfn, "_scalarization", lambda *args: forged)
+    with pytest.raises(ConsistencyError):
+        gap_necessary_check(inst, qv(0, 0))
 
 
 def test_sampled_scalarizations_stay_inside_polytopes():

@@ -70,13 +70,13 @@ def _capture(monkeypatch):
 
 def _run_families():
     rng = random.Random(20261018)
-    for i in range(150):
+    for i in range(180):
         inst, xbar = random_instance(rng, MODES[i % 3])
         verdict = certify(inst, xbar)
         if verdict.status == NOT_ROBUST_CERTIFIED or i % 9 == 2:
             robust_oracle(inst, xbar, Q(1, 1000), budget=30, seed=11)
         if i % 2 == 0:
-            gap_necessary_check(inst, xbar, samples=10)
+            gap_necessary_check(inst, xbar)
 
 
 def _dual_ok(args, kwargs, out):
