@@ -256,7 +256,7 @@ class _DualSystem:
     its columns, eliminated once by `eliminator`, with the weak-duality
     weights w_i = b_i L / d_i, L = lcm(d)."""
 
-    __slots__ = ("e", "k", "w", "lcm")
+    __slots__ = ("e", "k", "s", "w", "lcm")
 
     def __init__(self, cols, n: int):
         elim = eliminator(cols, n)
@@ -264,7 +264,8 @@ class _DualSystem:
         if elim is not None:
             self.e, d = elim
             self.k, self.lcm = len(d), math.lcm(*d)
-            self.w = [col[n] * (self.lcm // di) for col, di in zip(cols, d)]
+            self.s = [self.lcm // di for di in d]     # L u_i = s_i e_i
+            self.w = [col[n] * si for col, si in zip(cols, self.s)]
 
     def settles(self, target) -> bool:
         """Whether the unique u with A_S u = target[:n] exists, is >= 0 and
@@ -302,6 +303,7 @@ class _Region:
     """One full-dimensional selection region of a Domination: its LP for
     C = 0 and what its past solves proved."""
 
+    pieces: Tuple[int, ...]     # the selection: one piece per component
     fixed: list                 # the region's and Omega's relations
     cone_a: Tuple[Vec, ...]     # -M A_s: the cone rows' coefficients
     cone_b: Vec                 # M (b_s - f(xbar)): their right-hand sides
@@ -333,6 +335,21 @@ class _Region:
         self.obj = integer_row((*self.c, -self.const))
 
 
+@dataclass(frozen=True)
+class BallCertificate:
+    """A proof that xbar is efficient for f + C. for every C with
+    ||C||_F^2 < radius_sq, where radius_sq > 0: for each region that was
+    not dropped, its selection pieces and the fixed rows of the kept
+    support that settles it on that whole open ball."""
+
+    radius_sq: Fraction
+    regions: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
+
+    def covers(self, r: Fraction) -> bool:
+        """Whether the open ball of radius r lies inside the proven one."""
+        return r * r <= self.radius_sq
+
+
 class Domination:
     """Whether xbar is efficient for f + C. with any p x n shift C.
 
@@ -359,6 +376,8 @@ class Domination:
     empty under every shift and is dropped. Neither shortcut can report a
     domination, so the first dominating region and its LP are those of a
     problem built afresh.
+
+    The same supports can prove a whole ball: see `ball_certificate`.
     """
 
     def __init__(self, inst: VOPInstance, xbar: Vec):
@@ -387,7 +406,7 @@ class Domination:
             a = [p.a for p in pieces]
             gap = [p.b - fi for p, fi in zip(pieces, fxbar)]
             self._regions.append(_Region(
-                [le(row, rhs) for row, rhs in sel.rows] + omega,
+                sel.indices, [le(row, rhs) for row, rhs in sel.rows] + omega,
                 tuple(lincomb(m, a, n) for m in self._neg_cone),
                 tuple(vdot(m, gap) for m in cone_rows),
                 lincomb(self._ssum, a, n), vdot(self._ssum, gap)))
@@ -503,6 +522,101 @@ class Domination:
             if support.fixed:
                 support.system = system
         return system.settles(target)
+
+    def ball_certificate(self) -> Optional[BallCertificate]:
+        """The ball on which the kept supports settle every region, or None.
+
+        Meant for after xbar was found efficient at C = 0, when each region
+        that was not dropped keeps the support of its LP's dual. Only a
+        support of n fixed rows with a unique dual can serve: its A_S does
+        not move with C, and a shift moves the target only by (v, v . xbar)
+        with v = ssum C, so each settling condition is an affine form
+        g(v) = g0 + a . v (`_settling_forms`). As ||v|| <= ||ssum|| ||C||_F
+        and the ball is open, g >= 0 on the ball of radius r iff g0 >= 0
+        and g0^2 >= r^2 ||ssum||^2 ||a||^2. A support proves the least such
+        bound on r^2 over its forms, a region the largest over its
+        supports, and the certificate the least over the regions; None
+        when that is not positive or some region has no such support.
+        """
+        si2 = sum(s * s for s in self._si)      # ||ssum||^2 = si2 / md^2
+        if not si2:         # ssum = 0 only for the cone {0}
+            return None
+        md2 = self._md * self._md
+        least, regions = None, []
+        for region in self._regions:
+            best = None
+            for support in region.supports:
+                forms = self._settling_forms(region, support)
+                if forms is None or any(g0 < 0 for g0, _ in forms):
+                    continue
+                # the dual forms' a are the rows of an invertible matrix
+                r2 = min(Fraction(g0 * g0 * md2, si2 * sum(x * x for x in a))
+                         for g0, a in forms if any(a))
+                if best is None or r2 > best[0]:
+                    best = (r2, support)
+            if best is None:
+                return None
+            regions.append((region.pieces, tuple(i for i, _ in best[1])))
+            least = best[0] if least is None else min(least, best[0])
+        if not least:
+            return None
+        return BallCertificate(least, tuple(regions))
+
+    def _settling_forms(self, region: _Region, support: _Support):
+        """The conditions under which support settles region at v = ssum C,
+        as affine forms (g0, a), each g0 + a . v >= 0 up to a positive
+        integer factor, or None for a support that cannot serve.
+
+        The dual forms of `_ball_forms` are first checked against the
+        support's own integer rows (A_S their first n entries, b_S the
+        last): L u(v) must solve A_S u = t(v)[:n] for every v, an affine
+        identity checked on its constant part and on each coordinate; a
+        failure raises ConsistencyError. So u(v) is a dual point wherever
+        u(v) >= 0, the first n forms. The last is the weak-duality bound
+        xd (L t(v)[n] - b_S . L u(v)) >= 0.
+        """
+        forms = self._ball_forms(region, support)
+        if forms is None:
+            return None
+        n, (t0, tden), lcm = self.inst.n, region.obj, support.system.lcm
+        cols = [ints for _, (ints, _) in support]
+        u0 = [g0 for g0, _ in forms]
+        u1 = list(zip(*(a for _, a in forms)))   # u1[k]: coefficients of v_k
+
+        def through(j, u):      # row j of [A_S; b_S] times u
+            return sum(col[j] * ui for col, ui in zip(cols, u))
+
+        if (len(forms) != n
+                or any(through(j, u0) != lcm * t0[j] for j in range(n))
+                or any(through(j, u1[k]) != lcm * tden * (j == k)
+                       for j in range(n) for k in range(n))):
+            raise ConsistencyError("ball certificate failed substitution")
+        xd = self._xd
+        return forms + [(xd * (lcm * t0[n] - through(n, u0)),
+                         [lcm * tden * x - xd * through(n, u1[k])
+                          for k, x in enumerate(self._xi)])]
+
+    def _ball_forms(self, region: _Region, support: _Support):
+        """L u(v), the dual of support under a shift, as n affine forms
+        (g0, a) in v = ssum C; None unless support has n fixed rows and a
+        unique dual.
+
+        With (t0, tden) = region.obj, the shifted target is
+        t(v) = t0 + tden (v, v . xbar), and L u_i(v) = s_i (E t(v))_i.
+        """
+        n = self.inst.n
+        if not support.fixed or len(support.rows) != n:
+            return None
+        system = support.system
+        if system is None:
+            system = support.system = _DualSystem(
+                [ints for _, (ints, _) in support], n)
+        if system.e is None:
+            return None
+        t0, tden = region.obj
+        return [(si * sum(a * b for a, b in zip(row, t0)),
+                 [si * tden * a for a in row])
+                for si, row in zip(system.s, system.e)]
 
 
 def efficiency_check(inst: VOPInstance, xbar: Vec) -> EfficiencyResult:

@@ -162,6 +162,9 @@ def _cmd_oracle(parsed: ParsedInstance, args) -> int:
         if report.matrix is not None:
             print(f"matrix rows: {_mat_text(report.matrix.rows)}")
             print(f"dominating point: {_vec_text(report.witness)}")
+        if report.certificate is not None:
+            print("proved: efficient for every C with ||C||_F^2 < "
+                  f"{format_rational(report.certificate.radius_sq)}")
         print(f"tried: {report.patterns_tried} patterns, "
               f"{report.samples_tried} samples (budget {report.budget}, "
               f"seed {report.seed})")

@@ -4,7 +4,9 @@ Instance files carry every number as an integer or a "num/den" string;
 decimal floats are rejected outright so certificates never depend on binary
 rounding. Report documents serialize verdicts together with the cone row
 data their witnesses were checked against, which lets verify_report confirm
-all witnesses with plain evaluation and comparison, no solver involved.
+all witnesses with plain evaluation and comparison, no solver involved. An
+oracle's ball certificate is the exception: verify_report derives it again
+from the instance, with the zero matrix's LPs, and compares.
 """
 
 import json
@@ -15,9 +17,10 @@ from typing import Dict, List, Optional, Tuple
 from . import __version__
 from .certify import (
     NECESSARY_INTERSECTION, NECESSARY_SPAN, NOT_ROBUST_CERTIFIED,
-    SUFFICIENT_INTERSECTION, SUFFICIENT_SPAN, VOPInstance, Verdict, _analyze,
+    SUFFICIENT_INTERSECTION, SUFFICIENT_SPAN, Domination, VOPInstance, Verdict,
+    _analyze,
 )
-from .errors import InstanceFormatError
+from .errors import CapabilityError, InstanceFormatError
 from .funcs import AffinePiece, MAX, MIN, PieceFn, QuadPiece, SMOOTH, \
     eval_components
 from .geometry import (
@@ -276,7 +279,7 @@ def report_document(inst: VOPInstance, xbar: Vec, verdict: Verdict,
 
 
 def oracle_document(report: OracleReport, radius) -> dict:
-    return encode({
+    doc = {
         "outcome": report.outcome,
         "radius": Fraction(radius),
         "matrix": report.matrix.rows if report.matrix is not None else None,
@@ -287,7 +290,18 @@ def oracle_document(report: OracleReport, radius) -> dict:
         "seed": report.seed,
         "exact": report.exact,
         "note": report.note,
-    })
+    }
+    if report.certificate is not None:
+        doc["certificate"] = _certificate_doc(report.certificate)
+    return encode(doc)
+
+
+def _certificate_doc(cert) -> dict:
+    return {
+        "radius_sq": cert.radius_sq,
+        "regions": [{"pieces": pieces, "support": support}
+                    for pieces, support in cert.regions],
+    }
 
 
 def describe_document(inst: VOPInstance, xbar: Vec) -> dict:
@@ -322,8 +336,9 @@ def verify_report(parsed: ParsedInstance, doc: dict) -> List[str]:
     Cone rows are taken from the report itself; directions, dominating
     points, and perturbation matrices are validated with evaluation and
     comparison only. Every row and vector is decoded at the instance's
-    length, so data of the wrong shape is a problem, not a crash. An empty
-    list means every recorded witness stands.
+    length, so data of the wrong shape is a problem, not a crash. An oracle
+    ball certificate is derived again from the instance and compared. An
+    empty list means every recorded witness stands.
     """
     if not isinstance(doc, dict):
         raise InstanceFormatError("report: expected an object")
@@ -384,8 +399,50 @@ def _verify_oracle_doc(inst: VOPInstance, xbar: Vec, odoc: dict) -> List[str]:
     if not isinstance(odoc, dict):
         return ["oracle: expected an object"]
     problems: List[str] = []
-    if odoc.get("outcome") != "RefutedWithWitness":
-        return problems
+    if "certificate" in odoc:
+        problems.extend(_verify_ball_certificate(inst, xbar, odoc))
+    if odoc.get("outcome") == "RefutedWithWitness":
+        problems.extend(_verify_refutation(inst, xbar, odoc))
+    return problems
+
+
+def _verify_ball_certificate(inst: VOPInstance, xbar: Vec,
+                             odoc: dict) -> List[str]:
+    """Derive the ball certificate again from the instance alone (a fresh
+    Domination, the zero matrix, `ball_certificate`) and compare: the same
+    supports, a claimed radius_sq no larger than the derived one, and the
+    oracle's radius inside the claimed ball."""
+    cert = odoc["certificate"]
+    try:
+        r = parse_rational(odoc.get("radius"))
+        if not isinstance(cert, dict):
+            raise _fail("oracle.certificate", "expected an object")
+        claimed = parse_rational(cert.get("radius_sq"))
+    except (RationalParseError, InstanceFormatError) as exc:
+        return [f"oracle: {exc}"]
+    try:
+        problem = Domination(inst, xbar)
+    except CapabilityError as exc:
+        return [f"oracle: certificate: {exc}"]
+    derived = problem.ball_certificate() if problem.point().efficient \
+        else None
+    if derived is None:
+        return ["oracle: certificate: the instance gives none"]
+    problems = []
+    if cert.get("regions") != encode(_certificate_doc(derived))["regions"]:
+        problems.append("oracle: certificate: supports differ from the "
+                        "derived ones")
+    if claimed > derived.radius_sq:
+        problems.append(f"oracle: certificate: radius_sq "
+                        f"{format_rational(claimed)} is above the derived "
+                        f"{format_rational(derived.radius_sq)}")
+    if r * r > claimed:
+        problems.append("oracle: radius is above the certificate's")
+    return problems
+
+
+def _verify_refutation(inst: VOPInstance, xbar: Vec, odoc: dict) -> List[str]:
+    problems: List[str] = []
     try:
         r = parse_rational(odoc.get("radius"))
         rows = _mat(odoc.get("matrix"), "oracle.matrix", inst.n)

@@ -1,12 +1,20 @@
-"""Brute-force perturbation search against the robust-efficiency definition.
+"""Perturbation search against the robust-efficiency definition, and a
+proof of the whole ball where the zero matrix's duals give one.
 
 Robustness of a candidate demands that it stay efficient for every additive
-perturbation Cx whose Frobenius norm is strictly below a radius.  This module
+perturbation Cx whose Frobenius norm is strictly below a radius. The scan
 is the refuting half of that quantifier: it walks a deterministic family of
 sparse perturbation matrices, then seeded random lattice ones drawn one at a
 time, decides efficiency exactly per candidate, and stops at the first
 dominated one under that fixed order; the candidates are shifts of one
-`certify.Domination`.  Finding nothing proves nothing.
+`certify.Domination`. A scan that finds nothing proves nothing.
+
+`robust_oracle` first tries to prove the other half. Once the zero matrix
+is found efficient, `Domination.ball_certificate` reads the kept dual
+supports as affine forms in ssum C and bounds them on the ball: when the
+proven radius covers r, no counterexample exists, and the report says so
+with the certificate, without drawing a pattern or a sample. Otherwise
+the scan runs as it would without the check.
 
 Most candidates cost no LP. Once a selection region's LP shows no
 domination, the support S of its dual is kept. For a later candidate C,
@@ -34,8 +42,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
 from .certify import (
-    Domination, PerturbationMatrix, VOPInstance, _verify_domination,
-    efficiency_check,
+    BallCertificate, Domination, PerturbationMatrix, VOPInstance,
+    _verify_domination, efficiency_check,
 )
 from .errors import ConsistencyError, InstanceFormatError
 from .funcs import AffinePiece, PieceFn, QuadPiece
@@ -59,6 +67,8 @@ class OracleReport:
     seed: int
     exact: bool = True
     note: Optional[str] = None
+    # the proof of the whole ball, when it covers the radius
+    certificate: Optional[BallCertificate] = None
 
     @property
     def refuted(self) -> bool:
@@ -156,7 +166,8 @@ def perturbed_instance(inst: VOPInstance, matrix: PerturbationMatrix) -> VOPInst
 
 def robust_oracle(inst: VOPInstance, xbar: Vec, r, budget: int = 1000,
                   seed: int = 0, patterns: bool = True) -> OracleReport:
-    """Search the open Frobenius ball of radius r for a refuting C.
+    """Search the open Frobenius ball of radius r for a refuting C, or
+    prove that none exists.
 
     The candidates are the zero matrix, then the structured patterns, then
     `budget` seeded lattice samples drawn one at a time. Each is checked
@@ -165,6 +176,9 @@ def robust_oracle(inst: VOPInstance, xbar: Vec, r, budget: int = 1000,
     order and no sample after it is drawn. With piecewise-affine
     objectives each candidate is a shift of one Domination built before
     the scan. A refuting point is re-checked on the perturbed instance.
+    When the zero matrix is efficient and the Domination's ball
+    certificate covers r, the report is NoCounterexampleFound with that
+    certificate, one pattern and no sample tried.
     """
     r = Fraction(r)
     if r <= 0:
@@ -202,6 +216,13 @@ def _scan(inst: VOPInstance, xbar: Vec, problem: Optional[Domination],
         res = (problem.point(matrix) if exact else
                efficiency_check(perturbed_instance(inst, matrix), xbar))
         if res.efficient:
+            if idx == 0 and exact:
+                cert = problem.ball_certificate()
+                if cert is not None and cert.covers(r):
+                    return OracleReport(NO_COUNTEREXAMPLE, None, None,
+                                        patterns_tried=1, samples_tried=0,
+                                        budget=budget, seed=seed,
+                                        certificate=cert)
             continue
         y = res.witness
         if y is None or not _verify_domination(perturbed_instance(inst, matrix),
@@ -224,7 +245,8 @@ def radius_estimate(inst: VOPInstance, xbar: Vec, r_max, budget: int = 200,
     Probes start at r_max and walk the bisection interval; a refuted probe
     lowers the top, a clean probe raises the bottom, so every clean level
     sits strictly below every refuted one and the trace is monotone. All
-    probes scan one Domination.
+    probes scan one Domination; a level its ball certificate covers is
+    clean without a scan.
     """
     r_max = Fraction(r_max)
     if r_max < 0:

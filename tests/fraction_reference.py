@@ -2,7 +2,9 @@
 
 The simplex core, `lp_solve` and `feasible_point` below are the
 `fractions.Fraction` tableau that `vopcert.linprog` used before its
-integer-row kernel, kept verbatim; the elimination helpers are the matching
+integer-row kernel, kept verbatim except that an infeasible `lp_solve` with
+`nonneg` takes its Farkas vector over the sign rows too, as the kernel's
+does; the elimination helpers are the matching
 Fraction Gauss-Jordan from `vopcert.rationals`. `test_kernel_differential.py`
 requires the library kernels to return exactly what these return.
 """
@@ -266,7 +268,10 @@ def lp_solve(objective: Sequence[Fraction], relations: Sequence[Relation],
         return LpResult(INFEASIBLE, farkas=y)
     core = _Core(rows, rhs, n, nonneg)
     if not core.run_phase1():
-        y = _farkas_certificate(rows, rhs)
+        # the sign constraints -x_j <= 0 are rows of the system as well
+        signs = [j for j in range(n) if nonneg is not None and nonneg[j]]
+        y = _farkas_certificate(rows + [unit(n, j, -1) for j in signs],
+                                rhs + [Q0] * len(signs))
         return LpResult(INFEASIBLE, farkas=y)
     status, e, zrow = core.run_phase2(c)
     if status == UNBOUNDED:

@@ -4,6 +4,8 @@ estimate's levels), and the gap check costs one LP per sign pattern and one
 decision of its linear problem, the witness re-check.
 An oracle candidate that a certificate settles builds no Fraction rows, and
 a certificate support of fixed rows is eliminated once, not per candidate.
+Where the zero matrix's supports prove the whole ball, the oracle stops
+after the zero matrix: no pattern or sample is built.
 
 Functions are counted wherever a vopcert module binds them: a
 `from .geometry import g1_cone` copies the binding into the importing
@@ -30,6 +32,14 @@ ORTHANT2 = validate_ordering_cone(2, rows=(qv(-1, 0), qv(0, -1)))
 K_EX = validate_ordering_cone(2, rows=(qv(-1, -1), qv(-1, 0)))
 EXAMPLE = VOPInstance((maxfn(af([0]), af([1])), minfn(af([-1]), af([0]))),
                       PolyhedralSet((), ()), K_EX, 1)
+# (max(x1, -x1), max(x2, -x2)) on the plane: four quadrant regions, each
+# settled at C = 0 by two fixed rows; the ball certificate covers r^2 < 1/2
+ABS_PAIR = VOPInstance((maxfn(af([1, 0]), af([-1, 0])),
+                        maxfn(af([0, 1]), af([0, -1]))),
+                       PolyhedralSet((), ()), ORTHANT2, 2)
+# a radius above that certificate's, so the oracle scans every candidate;
+# the zero matrix's supports still settle them all
+SCANNED_R = Q(3, 4)
 
 
 def _count(monkeypatch, module, name, only_in=None):
@@ -162,11 +172,10 @@ def test_gap_check_settled_at_base_point_skips_faces(monkeypatch):
 
 
 def test_oracle_builds_the_domination_problem_once(monkeypatch):
-    # a certified point: every candidate is decided and none refutes, yet
-    # the feasible set is reduced and the regions enumerated once per call
-    inst = VOPInstance((maxfn(af([1, 0]), af([-1, 0])),
-                        maxfn(af([0, 1]), af([0, -1]))),
-                       PolyhedralSet((), ()), ORTHANT2, 2)
+    # a certified point at a radius the ball certificate does not cover:
+    # every candidate is decided and none refutes, yet the feasible set is
+    # reduced and the regions enumerated once per call
+    inst = ABS_PAIR
     for budget in (0, 40):
         reductions = _count(monkeypatch, "certify", "polyhedral_reduction")
         regions = _count(monkeypatch, "funcs", "full_dim_selections")
@@ -182,7 +191,7 @@ def test_oracle_builds_the_domination_problem_once(monkeypatch):
             return result
 
         monkeypatch.setattr(Domination, "point", spy)
-        rep = robust_oracle(inst, qv(0, 0), Q(1, 10), budget=budget)
+        rep = robust_oracle(inst, qv(0, 0), SCANNED_R, budget=budget)
         assert rep.outcome == NO_COUNTEREXAMPLE
         assert rep.samples_tried == budget
         assert (len(reductions), len(regions)) == (1, 1)
@@ -194,11 +203,10 @@ def test_oracle_builds_the_domination_problem_once(monkeypatch):
 
 def test_certified_candidates_stay_integer(monkeypatch):
     # a certified point where the zero matrix's LPs settle every region:
-    # each later candidate is drawn, checked against the ball and settled
-    # by certificate in integers, without Fraction rows or `integer_row`
-    inst = VOPInstance((maxfn(af([1, 0]), af([-1, 0])),
-                        maxfn(af([0, 1]), af([0, -1]))),
-                       PolyhedralSet((), ()), ORTHANT2, 2)
+    # above the ball certificate's radius, each later candidate is drawn,
+    # checked against the ball and settled by certificate in integers,
+    # without Fraction rows or `integer_row`
+    inst = ABS_PAIR
     conversions = _count(monkeypatch, "rationals", "integer_row")
     lps = _count(monkeypatch, "linprog", "lp_solve", only_in="certify")
     # per candidate decided: integer_row calls so far, LPs it made
@@ -227,7 +235,7 @@ def test_certified_candidates_stay_integer(monkeypatch):
 
     monkeypatch.setattr(PerturbationMatrix, "rows", property(rows_spy))
     monkeypatch.setattr(PerturbationMatrix, "__init__", init_spy)
-    rep = robust_oracle(inst, qv(0, 0), Q(1, 1000), budget=200)
+    rep = robust_oracle(inst, qv(0, 0), SCANNED_R, budget=200)
     assert rep.outcome == NO_COUNTEREXAMPLE and rep.samples_tried == 200
     assert [lp for _, lp in decided] == [4] + [0] * (32 + 200)
     assert len(conversions) == decided[0][0] and built == []
@@ -236,11 +244,9 @@ def test_certified_candidates_stay_integer(monkeypatch):
 def test_certificates_eliminate_once_per_support(monkeypatch):
     # the instance above: each region keeps the fixed-row support of its
     # zero-matrix dual, and A_S does not move with C, so each support's
-    # system is eliminated on its first use and every later candidate
-    # reuses it
-    inst = VOPInstance((maxfn(af([1, 0]), af([-1, 0])),
-                        maxfn(af([0, 1]), af([0, -1]))),
-                       PolyhedralSet((), ()), ORTHANT2, 2)
+    # system is eliminated on its first use and every later candidate of
+    # the scan above the ball certificate's radius reuses it
+    inst = ABS_PAIR
     elims = _count(monkeypatch, "rationals", "_gauss_jordan")
     problems, during = set(), []
     decide = Domination.point
@@ -253,12 +259,35 @@ def test_certificates_eliminate_once_per_support(monkeypatch):
         return result
 
     monkeypatch.setattr(Domination, "point", spy)
-    rep = robust_oracle(inst, qv(0, 0), Q(1, 1000), budget=200)
+    rep = robust_oracle(inst, qv(0, 0), SCANNED_R, budget=200)
     assert rep.outcome == NO_COUNTEREXAMPLE and rep.samples_tried == 200
     (problem,) = problems
     supports = sum(len(region.supports) for region in problem._regions)
     assert len(during) == 1 + 32 + 200 and supports == 4
     assert sum(during) <= supports
+
+
+def test_ball_certificate_skips_the_scan(monkeypatch):
+    # the oracle on the same point: the zero matrix's one LP per quadrant,
+    # one elimination per kept support for the certificate, and then no
+    # pattern or sample is built, let alone decided
+    lps = _count(monkeypatch, "linprog", "lp_solve", only_in="certify")
+    elims = _count(monkeypatch, "rationals", "eliminator", only_in="certify")
+    draws = _count(monkeypatch, "oracle", "_random_matrix")
+    built = []
+    from_ints = PerturbationMatrix.from_ints.__func__
+
+    def spy(cls, nums, den):
+        built.append(nums)
+        return from_ints(cls, nums, den)
+
+    monkeypatch.setattr(PerturbationMatrix, "from_ints", classmethod(spy))
+    rep = robust_oracle(ABS_PAIR, qv(0, 0), Q(1, 1000), budget=1000)
+    assert rep.outcome == NO_COUNTEREXAMPLE
+    assert (rep.patterns_tried, rep.samples_tried) == (1, 0)
+    assert rep.certificate.radius_sq == Q(1, 2)
+    assert (len(lps), len(elims), len(draws)) == (4, 4, 0)
+    assert built == [((0, 0), (0, 0))]     # the zero matrix alone
 
 
 def test_radius_estimate_builds_the_domination_problem_once(monkeypatch):

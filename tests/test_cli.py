@@ -44,6 +44,19 @@ DESCENT = {
 }
 
 
+# (|x1|, |x2|) as maxima: the zero matrix's duals prove the ball r^2 < 1/2
+ABS_PAIR = {
+    "dims": {"n": 2, "p": 2},
+    "objectives": [
+        {"kind": "max", "pieces": [{"a": [1, 0]}, {"a": [-1, 0]}]},
+        {"kind": "max", "pieces": [{"a": [0, 1]}, {"a": [0, -1]}]},
+    ],
+    "cone": {"hrep": [[-1, 0], [0, -1]]},
+    "feasible": {"type": "polyhedral", "rows": [], "rhs": []},
+    "candidate": [0, 0],
+}
+
+
 def _write(tmp_path, doc, name="inst.vop"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -206,6 +219,76 @@ def test_verify_report_wrong_length_data_exits_65(tmp_path, capsys, mangle,
     rpath.write_text(json.dumps(doc))
     assert main(["verify-report", path, str(rpath)]) == 65
     assert f"FAIL {message}" in capsys.readouterr().out.splitlines()
+
+
+def test_oracle_proves_the_ball_without_a_sample(tmp_path, capsys):
+    path = _write(tmp_path, ABS_PAIR)
+    assert main(["oracle", path, "--radius", "1/1000"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "outcome: NoCounterexampleFound",
+        "proved: efficient for every C with ||C||_F^2 < 1/2",
+        "tried: 1 patterns, 0 samples (budget 1000, seed 0)",
+    ]
+    assert main(["oracle", path, "--radius", "1/1000", "--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["patterns_tried"], doc["samples_tried"]) == (1, 0)
+    assert doc["certificate"] == {
+        "radius_sq": "1/2",
+        "regions": [{"pieces": pieces, "support": [0, 1]}
+                    for pieces in ([0, 0], [0, 1], [1, 0], [1, 1])]}
+    # a radius the certificate does not cover is scanned as before
+    assert main(["oracle", path, "--radius", "1", "--samples", "5",
+                 "--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["patterns_tried"], doc["samples_tried"]) == (33, 5)
+    assert "certificate" not in doc
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda d: d["certificate"].update(radius_sq="1"),
+     "oracle: certificate: radius_sq 1 is above the derived 1/2"),
+    (lambda d: d.update(radius="3/4"),
+     "oracle: radius is above the certificate's"),
+    (lambda d: d["certificate"]["regions"][0].update(support=[1]),
+     "oracle: certificate: supports differ from the derived ones"),
+    (lambda d: d["certificate"].update(radius_sq=[1, 2]),
+     "oracle: not a rational: [1, 2]"),
+], ids=["radius-sq-above-derived", "radius-above-certificate",
+        "support-rows", "radius-sq-not-rational"])
+def test_verify_report_rederives_the_ball_certificate(tmp_path, capsys,
+                                                      mangle, message):
+    path = _write(tmp_path, ABS_PAIR)
+    assert main(["certify", path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert main(["oracle", path, "--radius", "1/1000", "--json"]) == 2
+    doc["oracle"] = json.loads(capsys.readouterr().out)
+    rpath = tmp_path / "report.json"
+    rpath.write_text(json.dumps(doc))
+    assert main(["verify-report", path, str(rpath)]) == 0
+    capsys.readouterr()
+    mangle(doc["oracle"])
+    rpath.write_text(json.dumps(doc))
+    assert main(["verify-report", path, str(rpath)]) == 65
+    assert f"FAIL {message}" in capsys.readouterr().out.splitlines()
+
+
+def test_verify_report_rejects_a_certificate_the_instance_lacks(tmp_path,
+                                                                 capsys):
+    # f = (x, -x) is efficient at every shift of the line, but its zero
+    # matrix keeps an empty support: no certificate to derive
+    path = _write(tmp_path, ROBUST)
+    assert main(["certify", path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert main(["oracle", path, "--radius", "1/10", "--samples", "3",
+                 "--json"]) == 2
+    doc["oracle"] = json.loads(capsys.readouterr().out)
+    doc["oracle"]["certificate"] = {"radius_sq": "1", "regions": []}
+    rpath = tmp_path / "report.json"
+    rpath.write_text(json.dumps(doc))
+    assert main(["verify-report", path, str(rpath)]) == 65
+    assert "FAIL oracle: certificate: the instance gives none" in \
+        capsys.readouterr().out.splitlines()
 
 
 def test_usage_errors_exit_64(tmp_path):

@@ -159,6 +159,8 @@ def test_random_systems_match_the_fraction_reference():
     rng = random.Random(20261019)
     seen = set()
     signed = 0    # optima whose dual uses a sign row
+    farkas_signed = 0    # Farkas vectors that use a sign row
+    seen_signed = set()
     for _ in range(600):
         n = rng.randint(1, 4)
         rels = _random_system(rng, n)
@@ -172,11 +174,17 @@ def test_random_systems_match_the_fraction_reference():
         point = feasible_point(rels, n, nonneg)
         assert point == ref.feasible_point(rels, n, nonneg)
         assert repr(point) == repr(ref.feasible_point(rels, n, nonneg))
-        # with sign rows, checked by substitution only: the reference's
-        # Farkas vectors leave the sign rows out
+        # with sign rows: the same result, a Farkas vector over the sign
+        # rows as well, and a dual that may use them
         out = lp_solve(c, rels, nonneg)
+        got, expected = _without_dual(out), ref.lp_solve(c, rels, nonneg)
+        assert got == expected and repr(got) == repr(expected)
         if out.status == OPTIMAL:
             assert _dual_ok((c, rels, nonneg), (), out)
             signed += any(out.dual[len(out.dual) - sum(nonneg):])
-    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
-    assert signed
+        elif out.status == INFEASIBLE:
+            signs = out.farkas[len(out.farkas) - sum(nonneg):]
+            farkas_signed += any(signs) and any(nonneg)
+        seen_signed.add(got.status)
+    assert seen == seen_signed == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert signed and farkas_signed
