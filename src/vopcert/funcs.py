@@ -9,7 +9,7 @@ the meaning is always the hull).
 Scalarizations m^T f are exact on three routes (all-smooth, all-affine
 pieces via essentially active selections, nonnegative weights over convex
 components via the Minkowski sum); anything else degrades to a flagged
-inner/outer bound pair that downstream certification refuses to build on.
+outer bound that downstream certification refuses to build on.
 Every route scalarizes with one weighted sum, `rationals.lincomb`, of the
 gradients it selects. The essentially active selections depend on the
 components and the point but not on the weights, so `scalarized_subdiffs`
@@ -95,22 +95,17 @@ class PieceFn:
         return all(isinstance(p, AffinePiece) for p in self.pieces)
 
 
-Components = Tuple[PieceFn, ...]
-
-
 def eval_components(components: Sequence[PieceFn], x) -> Vec:
     return tuple(fn.value(x) for fn in components)
 
 
 @dataclass(frozen=True)
 class SubdiffPolytope:
-    """conv(vertices); when exact is False, vertices is an outer bound and
-    inner_vertices (if set) an inner bound."""
+    """conv(vertices); when exact is False, vertices is only an outer bound."""
 
     dim: int
     vertices: Mat
     exact: bool = True
-    inner_vertices: Optional[Mat] = None
 
 
 def clarke_subdiff_component(fn: PieceFn, x) -> SubdiffPolytope:
@@ -151,7 +146,6 @@ class Selection:
     indices: Tuple[int, ...]
     rows: Tuple[Tuple[Vec, Fraction], ...]  # row.x <= rhs
     point: Vec   # strictly inside the region
-    slack: Fraction
 
 
 def _selection_rows(components, indices) -> Optional[List[Tuple[Vec, Fraction]]]:
@@ -179,7 +173,8 @@ def _selection_rows(components, indices) -> Optional[List[Tuple[Vec, Fraction]]]
 
 
 def _interiority(rows, n):
-    """(slack, point) maximizing the uniform slack of rows, or None."""
+    """A point maximizing the uniform slack of rows, or None if no slack
+    is positive."""
     rels = []
     for row, rhs in rows:
         rels.append(le(tuple(row) + (Q1,), rhs))
@@ -190,7 +185,7 @@ def _interiority(rows, n):
         raise ConsistencyError("interiority program is not optimal")
     if res.value <= 0:
         return None
-    return res.value, res.x[:n]
+    return res.x[:n]
 
 
 def _selections(components, n, active=None) -> Tuple[Selection, ...]:
@@ -202,11 +197,9 @@ def _selections(components, n, active=None) -> Tuple[Selection, ...]:
         rows = _selection_rows(components, indices)
         if rows is None:
             continue
-        got = _interiority(rows, n)
-        if got is None:
-            continue
-        slack, point = got
-        out.append(Selection(indices, tuple(rows), point, slack))
+        point = _interiority(rows, n)
+        if point is not None:
+            out.append(Selection(indices, tuple(rows), point))
     return tuple(out)
 
 
@@ -259,17 +252,6 @@ def _regular_convex_route(components, mu) -> bool:
     return True
 
 
-def _linearized(components, xbar) -> Components:
-    out = []
-    for fn in components:
-        pieces = []
-        for p in fn.pieces:
-            g = p.grad(xbar)
-            pieces.append(AffinePiece(g, p.value(xbar) - vdot(g, xbar)))
-        out.append(PieceFn(fn.kind, tuple(pieces)))
-    return tuple(out)
-
-
 def _minkowski_vertices(components, mu, xbar) -> Mat:
     weighted = [(m, clarke_subdiff_component(fn, xbar).vertices)
                 for m, fn in zip(mu, components) if m]
@@ -283,13 +265,13 @@ def scalarized_subdiffs(mus: Sequence[Vec], components: Sequence[PieceFn],
                         xbar: Vec) -> Tuple[SubdiffPolytope, ...]:
     """Generalized gradient of x -> mu^T f(x) at xbar, one per weight mu.
 
-    Exact on the three supported routes; otherwise a flagged bound pair
-    (outer Minkowski sum / inner linearized-selection hull) that must never
-    feed a certificate. With all weights zero the result is the origin.
-    On the affine route the gradient is the hull of sum_i mu_i a_{i,s_i}
-    over the essentially active selections s (Scholtes 2012, ch. 4). The
-    selections do not depend on mu, so they are enumerated once for all
-    weights, and so are those of the linearization behind the inner bounds.
+    Exact on the three supported routes; otherwise the Minkowski sum of
+    the weighted component gradients, flagged exact=False: a flagged outer
+    bound that must never feed a certificate. With all weights zero the
+    result is the origin. On the affine route the gradient is the hull of
+    sum_i mu_i a_{i,s_i} over the essentially active selections s
+    (Scholtes 2012, ch. 4). The selections do not depend on mu, so they
+    are enumerated once for all weights.
     """
     n = len(xbar)
     if not mus:
@@ -302,19 +284,9 @@ def scalarized_subdiffs(mus: Sequence[Vec], components: Sequence[PieceFn],
                     for sel in essentially_active_selections(components, xbar)]
         return tuple(SubdiffPolytope(n, tuple(dict.fromkeys(
             lincomb(mu, grads, n) for grads in selected))) for mu in mus)
-    regular = [_regular_convex_route(components, mu) for mu in mus]
-    inner = iter(scalarized_subdiffs(
-        [mu for mu, ok in zip(mus, regular) if not ok],
-        _linearized(components, xbar), xbar))
-    out = []
-    for mu, ok in zip(mus, regular):
-        outer = _minkowski_vertices(components, mu, xbar)
-        if ok:
-            out.append(SubdiffPolytope(n, outer))
-        else:
-            out.append(SubdiffPolytope(n, outer, exact=False,
-                                       inner_vertices=next(inner).vertices))
-    return tuple(out)
+    return tuple(SubdiffPolytope(n, _minkowski_vertices(components, mu, xbar),
+                                 _regular_convex_route(components, mu))
+                 for mu in mus)
 
 
 def scalarized_subdiff(mu: Vec, components: Sequence[PieceFn], xbar: Vec) -> SubdiffPolytope:

@@ -33,7 +33,8 @@ from .funcs import (
 )
 from .linprog import INFEASIBLE, le, lp_solve, feasible_point
 from .rationals import (
-    Mat, Q0, Q1, Vec, dedup_rows, is_zero_vec, lincomb, vdot, vneg, zeros,
+    Mat, Q0, Q1, Vec, dedup_rows, is_zero_vec, lincomb, nullspace_basis, vdot,
+    vneg, zeros,
 )
 
 
@@ -57,31 +58,34 @@ def validate_ordering_cone(dim: int, rows: Optional[Mat] = None,
     """Build a validated ordering cone from either representation.
 
     Raises TrivialConeError / NotPointedError / EmptyInteriorError with an
-    exact witness when an axiom fails.
+    exact witness when an axiom fails. The cone {d : rows d <= 0} holds a
+    line iff the rows have a nonzero null vector, which is the witness. It
+    has nonempty interior iff rows x <= -1 is feasible, so {0} is told
+    apart from a thin cone only when that LP fails. The negated facet rows
+    generate the positive dual; a V-rep's double description already
+    yields them.
     """
     if rows is None and generators is None:
         raise ValueError("need an H-rep or a V-rep")
     if rows is None:
-        vrep0 = ConeVRep(dim, dedup_rows(generators))
-        hrep = dd_halfspaces_from_generators(vrep0)
+        hrep = dd_halfspaces_from_generators(
+            ConeVRep(dim, dedup_rows(generators)))
     else:
         hrep = ConeHRep(dim, dedup_rows(rows))
     vrep = dd_generators_from_halfspaces(hrep)
 
-    trivial, _ = cone_is_trivial(hrep)
-    if trivial:
-        raise TrivialConeError("ordering cone is {0}")
-    doubled = ConeHRep(dim, hrep.rows + tuple(vneg(r) for r in hrep.rows))
-    line_free, witness = cone_is_trivial(doubled)
-    if not line_free:
-        raise NotPointedError("ordering cone contains a line", witness)
+    lines = nullspace_basis(hrep.rows, dim)
+    if lines:
+        raise NotPointedError("ordering cone contains a line", lines[0])
     # nonempty interior: rows x <= -1 feasible (scaling); Farkas on failure
     res = lp_solve(zeros(dim), [le(r, Fraction(-1)) for r in hrep.rows])
     if res.status == INFEASIBLE:
+        if cone_is_trivial(hrep)[0]:
+            raise TrivialConeError("ordering cone is {0}")
         raise EmptyInteriorError("ordering cone has empty interior", res.farkas)
 
-    polar = dd_generators_from_halfspaces(ConeHRep(dim, vrep.generators))
-    dual_gens = tuple(sorted(vneg(g) for g in polar.generators))
+    facets = hrep if rows is None else dd_halfspaces_from_generators(vrep)
+    dual_gens = tuple(sorted(vneg(g) for g in facets.rows))
     sample = lincomb([Q1] * len(dual_gens), dual_gens, dim)
     if any(vdot(sample, v) <= 0 for v in vrep.generators):
         raise ConsistencyError("dual sample not strictly positive on the cone")
@@ -159,11 +163,9 @@ def polyhedral_active_rows(omega: PolyhedralSet, x: Vec) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ConicSupport:
-    """Active scalarizations of a conic block and the cones they induce."""
+    """The cone the active scalarizations of a conic block induce."""
 
-    active: Tuple[Vec, ...]        # dual-generator representatives with value 0
-    upsilon: ConeVRep              # union of scalarized gradient vertices
-    dcone: ConeHRep                # directions those vertices do not ascend
+    dcone: ConeHRep                # rows: active scalarized gradient vertices
     zero_in_subdiff: bool          # support-function gate (hypothesis check)
     exact: bool
 
@@ -178,14 +180,11 @@ def conic_support(block: ConicBlockSet, xbar: Vec) -> ConicSupport:
     subs = scalarized_subdiffs(reps, block.g, xbar)
     exact = all(sub.exact for sub in subs)
     verts_by_rep = [sub.vertices for sub in subs]
-    active = tuple(lam for lam, v in zip(reps, vals) if v == 0)
     up = []
-    for lam, verts in zip(reps, verts_by_rep):
-        if vdot(lam, gx) == 0:
+    for v, verts in zip(vals, verts_by_rep):
+        if v == 0:
             up.extend(verts)
-    gens = dedup_rows(up)
-    upsilon = ConeVRep(n, gens)
-    dcone = ConeHRep(n, gens)
+    dcone = ConeHRep(n, dedup_rows(up))
     # gate: 0 in the hull of gradient vertices over the maximizing reps
     gmax = max(vals)
     hull = []
@@ -194,7 +193,7 @@ def conic_support(block: ConicBlockSet, xbar: Vec) -> ConicSupport:
             hull.extend(verts)
     zero_in = subdiff_contains(SubdiffPolytope(n, tuple(dict.fromkeys(hull))),
                                zeros(n))
-    return ConicSupport(active, upsilon, dcone, zero_in, exact)
+    return ConicSupport(dcone, zero_in, exact)
 
 
 def slater_point(block: ConicBlockSet) -> Optional[Vec]:
@@ -293,15 +292,13 @@ def g1_cone(components: Sequence[PieceFn], cone: OrderingCone, xbar: Vec) -> Con
 class G2Result:
     """Scalarized non-ascent cone; hrep is exact when exact is True.
 
-    When a scalarized subdifferential was only bounded, inner/outer carry
-    cones built from the outer/inner gradient bounds respectively (more
-    gradient rows make a smaller cone), and hrep repeats inner.
+    When a scalarized subdifferential is only a flagged outer bound, hrep is
+    built from it and is then only an inner bound of the cone (more
+    gradient rows make a smaller cone).
     """
 
     hrep: ConeHRep
     exact: bool = True
-    inner: Optional[ConeHRep] = None
-    outer: Optional[ConeHRep] = None
 
 
 def g2_cone(components: Sequence[PieceFn], cone: OrderingCone, xbar: Vec) -> G2Result:
@@ -310,23 +307,9 @@ def g2_cone(components: Sequence[PieceFn], cone: OrderingCone, xbar: Vec) -> G2R
     The sum rule for scalarized gradients makes generator rows imply the
     rows of every nonnegative combination, so generators suffice.
     """
-    n = len(xbar)
-    rows_outer_bound = []   # from outer gradient bounds -> inner cone
-    rows_inner_bound = []   # from inner gradient bounds -> outer cone
-    exact = True
-    for sub in scalarized_subdiffs(cone.dual_neg_gens.generators, components,
-                                   xbar):
-        rows_outer_bound.extend(sub.vertices)
-        if sub.exact:
-            rows_inner_bound.extend(sub.vertices)
-        else:
-            exact = False
-            rows_inner_bound.extend(sub.inner_vertices or ())
-    if exact:
-        return G2Result(ConeHRep(n, dedup_rows(rows_outer_bound)))
-    inner = ConeHRep(n, dedup_rows(rows_outer_bound))
-    outer = ConeHRep(n, dedup_rows(rows_inner_bound))
-    return G2Result(inner, False, inner, outer)
+    subs = scalarized_subdiffs(cone.dual_neg_gens.generators, components, xbar)
+    rows = dedup_rows([v for sub in subs for v in sub.vertices])
+    return G2Result(ConeHRep(len(xbar), rows), all(sub.exact for sub in subs))
 
 
 def cones_coincide(g1: ConeHRep, g2: G2Result) -> Optional[bool]:

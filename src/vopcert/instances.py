@@ -136,6 +136,8 @@ def _parse_feasible(doc, path: str, n: int, q: Optional[int]) -> FeasibleSet:
     if kind == "discretized":
         _require_keys(doc, {"type", "constraints", "tau"},
                       {"constraints"}, path)
+        if not isinstance(doc["constraints"], list):
+            raise _fail(f"{path}.constraints", "expected a nonempty list")
         cons = tuple(_parse_piece(c, f"{path}.constraints[{i}]", n)
                      for i, c in enumerate(doc["constraints"]))
         for i, c in enumerate(cons):

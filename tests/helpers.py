@@ -10,17 +10,27 @@ import random
 from fractions import Fraction
 
 from vopcert.certify import VOPInstance
-from vopcert.cones import hrep_subset
-from vopcert.errors import ConeValidationError
+from vopcert.cones import (
+    ConeHRep, ConeVRep, cone_is_trivial, dd_generators_from_halfspaces,
+    dd_halfspaces_from_generators, hrep_subset,
+)
+from vopcert.errors import (
+    ConeValidationError, ConsistencyError, EmptyInteriorError, NotPointedError,
+    TrivialConeError,
+)
 from vopcert.funcs import (
     MAX, MIN, SMOOTH, AffinePiece, PieceFn, QuadPiece,
     clarke_subdiff_component,
 )
 from vopcert.geometry import (
-    PolyhedralSet, g1_cone, g2_cone, validate_ordering_cone,
+    OrderingCone, PolyhedralSet, g1_cone, g2_cone, validate_ordering_cone,
 )
-from vopcert.linprog import _check_farkas, normalize_relations
-from vopcert.rationals import vadd, vdot, vscale
+from vopcert.linprog import (
+    INFEASIBLE, _check_farkas, le, lp_solve, normalize_relations,
+)
+from vopcert.rationals import (
+    Q1, dedup_rows, lincomb, vadd, vdot, vneg, vscale, zeros,
+)
 
 Q = Fraction
 
@@ -265,3 +275,37 @@ def searched_matrix(components, xbar, linear, seed=0, samples=100):
         if linear.point(xi).efficient:
             return xi
     return None
+
+
+def sweep_validate_ordering_cone(dim, rows=None, generators=None):
+    """The ordering-cone validation the package once ran, kept as a
+    reference: triviality and pointedness by `cone_is_trivial`'s box probes
+    (pointedness on the cone doubled by its negated rows), and the dual
+    generators from a third double description even for a V-rep."""
+    if rows is None and generators is None:
+        raise ValueError("need an H-rep or a V-rep")
+    if rows is None:
+        vrep0 = ConeVRep(dim, dedup_rows(generators))
+        hrep = dd_halfspaces_from_generators(vrep0)
+    else:
+        hrep = ConeHRep(dim, dedup_rows(rows))
+    vrep = dd_generators_from_halfspaces(hrep)
+
+    trivial, _ = cone_is_trivial(hrep)
+    if trivial:
+        raise TrivialConeError("ordering cone is {0}")
+    doubled = ConeHRep(dim, hrep.rows + tuple(vneg(r) for r in hrep.rows))
+    line_free, witness = cone_is_trivial(doubled)
+    if not line_free:
+        raise NotPointedError("ordering cone contains a line", witness)
+    # nonempty interior: rows x <= -1 feasible (scaling); Farkas on failure
+    res = lp_solve(zeros(dim), [le(r, Fraction(-1)) for r in hrep.rows])
+    if res.status == INFEASIBLE:
+        raise EmptyInteriorError("ordering cone has empty interior", res.farkas)
+
+    polar = dd_generators_from_halfspaces(ConeHRep(dim, vrep.generators))
+    dual_gens = tuple(sorted(vneg(g) for g in polar.generators))
+    sample = lincomb([Q1] * len(dual_gens), dual_gens, dim)
+    if any(vdot(sample, v) <= 0 for v in vrep.generators):
+        raise ConsistencyError("dual sample not strictly positive on the cone")
+    return OrderingCone(dim, hrep, vrep, ConeVRep(dim, dual_gens), sample)

@@ -5,7 +5,9 @@ decision of its linear problem, the witness re-check.
 An oracle candidate that a certificate settles builds no Fraction rows, and
 a certificate support of fixed rows is eliminated once, not per candidate.
 Where the zero matrix's supports prove the whole ball, the oracle stops
-after the zero matrix: no pattern or sample is built.
+after the zero matrix: no pattern or sample is built. Parsing a valid
+ordering cone makes its two double descriptions and one interior LP, and
+no box probe.
 
 Functions are counted wherever a vopcert module binds them: a
 `from .geometry import g1_cone` copies the binding into the importing
@@ -13,7 +15,10 @@ module. Modules are reached through sys.modules, because the package
 attribute `vopcert.certify` is the function, not the submodule.
 """
 
+import json
 import sys
+
+import pytest
 
 from helpers import Q, af, maxfn, minfn, qv, smooth
 from vopcert.certify import (
@@ -23,7 +28,7 @@ from vopcert.gapfn import gap_necessary_check
 from vopcert.geometry import (
     ConicBlockSet, PolyhedralSet, validate_ordering_cone,
 )
-from vopcert.instances import report_document
+from vopcert.instances import parse_instance_text, report_document
 from vopcert.oracle import (
     NO_COUNTEREXAMPLE, PerturbationMatrix, radius_estimate, robust_oracle,
 )
@@ -296,3 +301,24 @@ def test_radius_estimate_builds_the_domination_problem_once(monkeypatch):
     est = radius_estimate(EXAMPLE, qv(0), Q(1, 10), budget=20)
     assert len(est.trace) == 6
     assert (len(reductions), len(regions)) == (1, 1)
+
+
+@pytest.mark.parametrize("cone", [
+    {"hrep": [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [-1, -1, -1]]},
+    {"vrep": [[1, 0, 0], [1, 1, 0], [0, 1, 1], [1, 1, 1]]},
+], ids=["hrep", "vrep"])
+def test_parsing_a_valid_cone_probes_nothing(monkeypatch, cone):
+    # pointedness is the rank of the rows, the interior one LP, and a V-rep
+    # reads its dual generators off the facets its double description gave
+    doc = {"dims": {"n": 1, "p": 3},
+           "objectives": [{"kind": "smooth", "pieces": [{"a": [c]}]}
+                          for c in (1, -1, 2)],
+           "cone": cone,
+           "feasible": {"type": "polyhedral", "rows": [], "rhs": []},
+           "candidate": [0]}
+    counts = {name: _count(monkeypatch, module, name) for module, name in (
+        ("cones", "cone_is_trivial"), ("linprog", "feasible_point"),
+        ("linprog", "lp_solve"), ("cones", "_dd"))}
+    parse_instance_text(json.dumps(doc))
+    assert {name: len(c) for name, c in counts.items()} == {
+        "cone_is_trivial": 0, "feasible_point": 0, "lp_solve": 1, "_dd": 2}

@@ -430,3 +430,13 @@ def test_lp_internal_error_exits_70(tmp_path, capsys, monkeypatch):
 def test_set_rejected_by_its_constructor_exits_65(tmp_path, capsys, feasible):
     assert main(["certify", _write(tmp_path, {**EX1, "feasible": feasible})]) == 65
     assert "invalid input: feasible:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("constraints", [5, None, True, "x"],
+                         ids=["int", "null", "bool", "string"])
+def test_discretized_constraints_not_a_list_exits_65(tmp_path, capsys,
+                                                     constraints):
+    feasible = {"type": "discretized", "constraints": constraints}
+    assert main(["certify", _write(tmp_path, {**EX1, "feasible": feasible})]) == 65
+    assert ("invalid input: feasible.constraints: expected a nonempty list"
+            in capsys.readouterr().err)

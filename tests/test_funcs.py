@@ -84,7 +84,6 @@ def test_essentially_active_selections_drop_thin_regions():
     sels = essentially_active_selections(EX, X0)
     assert sorted(s.indices for s in sels) == [(0, 1), (1, 0)]
     for s in sels:
-        assert s.slack > 0
         for row, rhs in s.rows:
             assert vdot(row, s.point) < rhs  # strictly interior
 
@@ -218,11 +217,7 @@ def test_scalarized_flagged_bounds():
     f2 = smooth(af([1]))
     sub = scalarized_subdiff(qv(-1, 0), (f1, f2), qv(2))
     assert not sub.exact
-    assert sub.inner_vertices is not None
     assert set(sub.vertices) == {qv(-1), qv(-2)}
-    outer = SubdiffPolytope(1, sub.vertices)
-    for v in sub.inner_vertices:
-        assert subdiff_contains(outer, v)
 
 
 def test_smooth_scalarization_single_gradient():

@@ -4,17 +4,22 @@ import random
 
 import pytest
 
-from helpers import Q, af, maxfn, minfn, nonascent_containment, qp, qv, smooth
+from helpers import (
+    Q, af, maxfn, minfn, nonascent_containment, qp, qv, smooth,
+    sweep_validate_ordering_cone,
+)
 from vopcert.cones import (
-    ConeHRep, cone_is_trivial, dd_generators_from_halfspaces,
-    dd_halfspaces_from_generators, hrep_equal, hrep_subset,
+    ConeHRep, ConeVRep, cone_is_trivial, dd_generators_from_halfspaces,
+    dd_halfspaces_from_generators, hrep_equal,
 )
 from vopcert.errors import (
-    EmptyInteriorError, InfeasiblePointError, NotPointedError,
+    ConeValidationError, EmptyInteriorError, InfeasiblePointError, NotPointedError,
     TrivialConeError,
 )
+from vopcert.funcs import scalarized_subdiffs
 from vopcert.geometry import (
-    ConicBlockSet, DiscretizedSet, PolyhedralSet, cones_coincide_check, conic_support,
+    ConicBlockSet, DiscretizedSet, OrderingCone, PolyhedralSet,
+    cones_coincide_check, conic_support,
     feasible_contains, g1_cone, g2_cone, normal_cone,
     slater_point, tangent_cone, validate_ordering_cone,
 )
@@ -62,6 +67,41 @@ def test_origin_cone_is_trivial():
     rows = (qv(1, 0), qv(-1, 0), qv(0, 1), qv(0, -1))
     with pytest.raises(TrivialConeError):
         validate_ordering_cone(2, rows=rows)
+
+
+def test_validation_matches_the_sweep_reference():
+    # seeded cones in both representations, valid or failing any axiom:
+    # the rank and interior-LP validation agrees with the sweep-based one
+    rng = random.Random(20261020)
+    outcomes = set()
+    for _ in range(2000):
+        p = rng.randint(2, 4)
+        mat = tuple(qv(*(rng.randint(-2, 2) for _ in range(p)))
+                    for _ in range(rng.randint(1, p + 2)))
+        key = "rows" if rng.random() < Q(1, 2) else "generators"
+        try:
+            want = sweep_validate_ordering_cone(p, **{key: mat})
+        except ConeValidationError as exc:
+            with pytest.raises(type(exc)) as ei:
+                validate_ordering_cone(p, **{key: mat})
+            assert str(ei.value) == str(exc)
+            outcomes.add(type(exc))
+            if type(exc) is NotPointedError:
+                # the witness spans a line of the cone: row . d == 0
+                rows = (mat if key == "rows" else dd_halfspaces_from_generators(
+                    ConeVRep(p, mat)).rows)
+                d = ei.value.witness
+                assert not is_zero_vec(d)
+                assert all(vdot(r, d) == 0 for r in rows)
+            continue
+        got = validate_ordering_cone(p, **{key: mat})
+        assert (got.hrep, got.vrep, got.dual_neg_gens,
+                got.strict_polar_sample) == (want.hrep, want.vrep,
+                                             want.dual_neg_gens,
+                                             want.strict_polar_sample)
+        outcomes.add(OrderingCone)
+    assert outcomes == {OrderingCone, NotPointedError, EmptyInteriorError,
+                        TrivialConeError}
 
 
 def test_feasible_membership_all_variants():
@@ -172,7 +212,7 @@ def test_g1_derived_case_with_quantifier_sampling():
 
 def test_g2_example_is_left_ray():
     g2 = g2_cone(EX, K_EX, X0)
-    assert g2.exact and g2.inner is None and g2.outer is None
+    assert g2.exact
     same, _ = hrep_equal(g2.hrep, ConeHRep(1, (qv(1),)))
     assert same
 
@@ -204,8 +244,11 @@ def test_cones_coincide_unknown_when_scalarization_inexact():
     comps = (maxfn(qp([[1]], [0]), af([1])), smooth(af([1])))
     g2 = g2_cone(comps, skew, qv(2))
     assert not g2.exact
-    ok, _ = hrep_subset(g2.inner, g2.outer)
-    assert ok
+    # hrep is built from the flagged outer bounds of the subdifferentials
+    verts = tuple(v for sub in scalarized_subdiffs(
+        skew.dual_neg_gens.generators, comps, qv(2)) for v in sub.vertices)
+    same, _ = hrep_equal(g2.hrep, ConeHRep(1, verts))
+    assert same
     assert cones_coincide_check(comps, skew, qv(2)) is None
 
 
@@ -223,7 +266,6 @@ def test_conic_support_strictly_feasible():
     q1 = validate_ordering_cone(1, rows=(qv(-1),))
     blk = ConicBlockSet((smooth(af([1, 0], -1)),), q1)
     sup = conic_support(blk, qv(0, 5))
-    assert sup.active == () and sup.upsilon.generators == ()
     assert sup.dcone.rows == () and not sup.zero_in_subdiff and sup.exact
 
 
@@ -231,8 +273,7 @@ def test_conic_support_single_active_constraint():
     q1 = validate_ordering_cone(1, rows=(qv(-1),))
     blk = ConicBlockSet((smooth(af([1, 0], -1)),), q1)
     sup = conic_support(blk, qv(1, 0))
-    assert sup.active == (qv(1),)
-    assert set(sup.upsilon.generators) == {qv(1, 0)}
+    assert set(sup.dcone.rows) == {qv(1, 0)}
     same, _ = hrep_equal(sup.dcone, ConeHRep(2, (qv(1, 0),)))
     assert same
 
@@ -242,7 +283,7 @@ def test_conic_support_orthant_matches_polyhedron():
     sup = conic_support(blk, qv(0, 0))
     same, _ = hrep_equal(sup.dcone, ConeHRep(2, (qv(1, 0), qv(0, 1))))
     assert same
-    assert set(sup.upsilon.generators) == {qv(1, 0), qv(0, 1)}
+    assert set(sup.dcone.rows) == {qv(1, 0), qv(0, 1)}
     poly = PolyhedralSet((qv(1, 0), qv(0, 1)), qv(0, 0))
     tp = tangent_cone(poly, qv(0, 0))
     tc = tangent_cone(blk, qv(0, 0))
@@ -257,7 +298,7 @@ def test_conic_affine_block_matches_explicit_polyhedron():
     blk = ConicBlockSet((smooth(af([1, 1], -1)), smooth(af([0, -1]))), ORTHANT2)
     xbar = qv(1, 0)
     sup = conic_support(blk, xbar)
-    assert set(sup.active) == {qv(1, 0), qv(0, 1)}
+    assert set(sup.dcone.rows) == {qv(1, 1), qv(0, -1)}
     t = tangent_cone(blk, xbar)
     assert t.exact and t.note is None
     poly = PolyhedralSet((qv(1, 1), qv(0, -1)), qv(1, 0))
