@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 
 from .cones import (
     ConeHRep, cone_is_trivial, dd_generators_from_halfspaces,
-    dd_halfspaces_from_generators,
+    dd_halfspaces_from_generators, is_trivial,
 )
 from .errors import (
     CapabilityError, ConsistencyError, InfeasiblePointError,
@@ -45,8 +45,8 @@ from .geometry import (
 )
 from .linprog import INFEASIBLE, OPTIMAL, le, lp_solve
 from .rationals import (
-    Mat, Q1, Vec, dedup_rows, eliminator, integer_row, is_zero_vec, lincomb,
-    mat_vec, vadd, vdot, vneg, vscale, vsub,
+    Mat, Q1, Vec, eliminator, integer_row, is_zero_vec, lincomb, mat_vec,
+    vadd, vdot, vneg, vscale, vsub,
 )
 
 ROBUST_CERTIFIED = "RobustCertified"
@@ -632,10 +632,6 @@ def efficiency_check(inst: VOPInstance, xbar: Vec) -> EfficiencyResult:
 # ---------------------------------------------------------------------------
 # cone conditions
 
-def _trivial(rows, dim) -> Tuple[bool, Optional[Vec]]:
-    return cone_is_trivial(ConeHRep(dim, dedup_rows(rows)))
-
-
 def _span_form(rows, dim, trivial: bool, branch: str):
     """Dual route: the sum of the generated cone and nothing else fills space
     iff the polar (rows as halfspaces) is trivial; decided after a full
@@ -643,8 +639,8 @@ def _span_form(rows, dim, trivial: bool, branch: str):
     and it must agree with the intersection form. Returns (verdict, note),
     the note set when double description is out of reach."""
     try:
-        gens = dd_generators_from_halfspaces(ConeHRep(dim, dedup_rows(rows)))
-        span_ok, _ = cone_is_trivial(dd_halfspaces_from_generators(gens))
+        gens = dd_generators_from_halfspaces(ConeHRep(dim, rows))
+        span_ok = is_trivial(dd_halfspaces_from_generators(gens))
     except CapabilityError as exc:
         return None, f"capability: {exc}"
     if span_ok != trivial:
@@ -690,7 +686,7 @@ def _necessary_reports(a: _Analysis):
                 ConditionReport(NECESSARY_SPAN, None, exact=False, note=note))
     n = a.inst.n
     rows = a.g1.rows + a.tangent.cone.rows
-    trivial, witness = _trivial(rows, n)
+    trivial, witness = cone_is_trivial(ConeHRep(n, rows))
     if trivial:
         inter = ConditionReport(NECESSARY_INTERSECTION, True,
                                 exact=a.tangent_exact, note=a.tangent.note)
@@ -708,7 +704,7 @@ def _necessary_reports(a: _Analysis):
 def _sufficient_reports(a: _Analysis, hypotheses_ok: Optional[bool]):
     n = a.inst.n
     rows = a.g2.hrep.rows + a.tangent.cone.rows
-    trivial, witness = _trivial(rows, n)
+    trivial, witness = cone_is_trivial(ConeHRep(n, rows))
     exact = a.g2.exact and a.tangent_exact
     if trivial and hypotheses_ok and exact:
         inter = ConditionReport(SUFFICIENT_INTERSECTION, True)

@@ -20,8 +20,8 @@ from itertools import product
 from typing import Optional, Sequence, Tuple, Union
 
 from .cones import (
-    ConeHRep, ConeVRep, cone_is_trivial, dd_generators_from_halfspaces,
-    dd_halfspaces_from_generators, hrep_equal,
+    ConeHRep, ConeVRep, dd_generators_from_halfspaces,
+    dd_halfspaces_from_generators, hrep_equal, is_trivial,
 )
 from .errors import (
     ConsistencyError, EmptyInteriorError, InfeasiblePointError, NotPointedError,
@@ -80,7 +80,7 @@ def validate_ordering_cone(dim: int, rows: Optional[Mat] = None,
     # nonempty interior: rows x <= -1 feasible (scaling); Farkas on failure
     res = lp_solve(zeros(dim), [le(r, Fraction(-1)) for r in hrep.rows])
     if res.status == INFEASIBLE:
-        if cone_is_trivial(hrep)[0]:
+        if is_trivial(hrep):
             raise TrivialConeError("ordering cone is {0}")
         raise EmptyInteriorError("ordering cone has empty interior", res.farkas)
 

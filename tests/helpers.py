@@ -8,15 +8,16 @@ affine functions.
 import itertools
 import random
 from fractions import Fraction
+from typing import List, Optional, Tuple
 
 from vopcert.certify import VOPInstance
 from vopcert.cones import (
-    ConeHRep, ConeVRep, cone_is_trivial, dd_generators_from_halfspaces,
+    DD_DIMENSION_CAP, ConeHRep, ConeVRep, dd_generators_from_halfspaces,
     dd_halfspaces_from_generators, hrep_subset,
 )
 from vopcert.errors import (
-    ConeValidationError, ConsistencyError, EmptyInteriorError, NotPointedError,
-    TrivialConeError,
+    CapabilityError, ConeValidationError, ConsistencyError,
+    EmptyInteriorError, NotPointedError, TrivialConeError,
 )
 from vopcert.funcs import (
     MAX, MIN, SMOOTH, AffinePiece, PieceFn, QuadPiece,
@@ -26,10 +27,12 @@ from vopcert.geometry import (
     OrderingCone, PolyhedralSet, g1_cone, g2_cone, validate_ordering_cone,
 )
 from vopcert.linprog import (
-    INFEASIBLE, _check_farkas, le, lp_solve, normalize_relations,
+    INFEASIBLE, OPTIMAL, _check_farkas, eq, feasible_point, le, lp_solve,
+    normalize_relations,
 )
 from vopcert.rationals import (
-    Q1, dedup_rows, lincomb, vadd, vdot, vneg, vscale, zeros,
+    Mat, Q0, Q1, Vec, dedup_rows, invert, is_zero_vec, lincomb, matrix_rank,
+    nullspace_basis, primitive, unit, vadd, vdot, vneg, vscale, zeros,
 )
 
 Q = Fraction
@@ -279,9 +282,10 @@ def searched_matrix(components, xbar, linear, seed=0, samples=100):
 
 def sweep_validate_ordering_cone(dim, rows=None, generators=None):
     """The ordering-cone validation the package once ran, kept as a
-    reference: triviality and pointedness by `cone_is_trivial`'s box probes
-    (pointedness on the cone doubled by its negated rows), and the dual
-    generators from a third double description even for a V-rep."""
+    reference: triviality and pointedness by the box probes of
+    `reference_cone_is_trivial` (pointedness on the cone doubled by its
+    negated rows), and the dual generators from a third double description
+    even for a V-rep."""
     if rows is None and generators is None:
         raise ValueError("need an H-rep or a V-rep")
     if rows is None:
@@ -291,11 +295,11 @@ def sweep_validate_ordering_cone(dim, rows=None, generators=None):
         hrep = ConeHRep(dim, dedup_rows(rows))
     vrep = dd_generators_from_halfspaces(hrep)
 
-    trivial, _ = cone_is_trivial(hrep)
+    trivial, _ = reference_cone_is_trivial(hrep)
     if trivial:
         raise TrivialConeError("ordering cone is {0}")
     doubled = ConeHRep(dim, hrep.rows + tuple(vneg(r) for r in hrep.rows))
-    line_free, witness = cone_is_trivial(doubled)
+    line_free, witness = reference_cone_is_trivial(doubled)
     if not line_free:
         raise NotPointedError("ordering cone contains a line", witness)
     # nonempty interior: rows x <= -1 feasible (scaling); Farkas on failure
@@ -309,3 +313,132 @@ def sweep_validate_ordering_cone(dim, rows=None, generators=None):
     if any(vdot(sample, v) <= 0 for v in vrep.generators):
         raise ConsistencyError("dual sample not strictly positive on the cone")
     return OrderingCone(dim, hrep, vrep, ConeVRep(dim, dual_gens), sample)
+
+
+# ---------------------------------------------------------------------------
+# The cone decisions the package once made, kept as references: triviality
+# by 2n box probes, inclusion by one boxed LP per outer row (listed or not),
+# and double description with adjacency decided by exact rank.
+
+def reference_box(n: int):
+    """The rows -1 <= d_j <= 1 of the unit box, coordinate by coordinate."""
+    return [le(unit(n, j, sign), Q1) for j in range(n) for sign in (1, -1)]
+
+
+def reference_cone_is_trivial(cone: ConeHRep) -> Tuple[bool, Optional[Vec]]:
+    """Is {d : rows d <= 0} equal to {0}?
+
+    For each coordinate k and sign s the box system
+    {rows d <= 0, s*d_k = 1, -1 <= d_j <= 1} is probed; the cone is trivial
+    iff all 2n probes are infeasible. A feasible probe point is the witness.
+    An empty row list describes the whole space: witness e_1.
+    """
+    n = cone.dim
+    rows = dedup_rows(cone.rows)
+    if not rows:
+        return False, unit(n, 0)
+    base = [le(r, Q0) for r in rows]
+    box = reference_box(n)
+    for k in range(n):
+        for s in (1, -1):
+            rels = base + [eq(unit(n, k), Fraction(s))] + box
+            x = feasible_point(rels, n)
+            if x is not None:
+                return False, x
+    return True, None
+
+
+def reference_adjacent(p: Vec, m: Vec, processed: List[Vec], dim: int) -> bool:
+    tight = [r for r in processed if vdot(r, p) == 0 and vdot(r, m) == 0]
+    if len(tight) < dim - 2:
+        return False
+    return matrix_rank(tight) == dim - 2
+
+
+def reference_dd_pointed(rows: Mat, dim: int) -> Mat:
+    """Extreme rays of a pointed cone {d : rows d <= 0} with rank(rows) = dim."""
+    # deterministic choice of an initial nonsingular row basis
+    chosen: List[int] = []
+    acc: List[Vec] = []
+    for i, r in enumerate(rows):
+        if matrix_rank(acc + [r]) > len(acc):
+            acc.append(r)
+            chosen.append(i)
+            if len(acc) == dim:
+                break
+    binv = invert(acc)
+    gens = [primitive(tuple(-binv[i][k] for i in range(dim))) for k in range(dim)]
+    processed = list(acc)
+    for i, row in enumerate(rows):
+        if i in chosen:
+            continue
+        vals = [vdot(row, g) for g in gens]
+        plus = [g for g, v in zip(gens, vals) if v > 0]
+        zero = [g for g, v in zip(gens, vals) if v == 0]
+        minus = [g for g, v in zip(gens, vals) if v < 0]
+        if not plus:
+            processed.append(row)
+            continue
+        new = list(zero) + list(minus)
+        for gp in plus:
+            sp = vdot(row, gp)
+            for gm in minus:
+                if not reference_adjacent(gp, gm, processed, dim):
+                    continue
+                sm = vdot(row, gm)
+                w = primitive(tuple(sp * b - sm * a for a, b in zip(gp, gm)))
+                if not is_zero_vec(w):
+                    new.append(w)
+        seen = set()
+        gens = []
+        for g in new:
+            if g not in seen:
+                seen.add(g)
+                gens.append(g)
+        processed.append(row)
+    return tuple(gens)
+
+
+def reference_dd(rows: Mat, dim: int) -> Mat:
+    """Extreme rays (plus lineality pairs) of {d : rows d <= 0}."""
+    if dim > DD_DIMENSION_CAP:
+        raise CapabilityError(
+            f"double description capped at ambient dimension {DD_DIMENSION_CAP}; "
+            f"got {dim} (sampling-only checks remain available)")
+    rows = dedup_rows(rows)
+    if not rows:
+        out = []
+        for k in range(dim):
+            out.append(unit(dim, k))
+            out.append(unit(dim, k, -1))
+        return tuple(out)
+    lin = nullspace_basis(rows, dim)
+    work = list(rows)
+    for l in lin:
+        lp = primitive(l)
+        work.append(lp)
+        work.append(vneg(lp))
+    pointed = reference_dd_pointed(dedup_rows(tuple(work)), dim)
+    out = list(pointed)
+    for l in lin:
+        lp = primitive(l)
+        out.append(lp)
+        out.append(primitive(vneg(lp)))
+    return tuple(sorted(set(out)))
+
+
+def reference_hrep_subset(inner: ConeHRep, outer: ConeHRep) -> Tuple[bool, Optional[Vec]]:
+    """Is {inner} a subset of {outer}? Witness lies in inner but not outer.
+
+    Pure LP route: for each outer row, maximize its value over the inner
+    cone boxed to [-1,1]^n; any positive optimum separates.
+    """
+    n = inner.dim
+    rels = [le(r, Q0) for r in dedup_rows(inner.rows)] + reference_box(n)
+    for row in dedup_rows(outer.rows):
+        res = lp_solve(row, rels)
+        if res.status != OPTIMAL:  # boxed and contains 0
+            raise ConsistencyError("boxed subset probe is not optimal")
+        if res.value > 0:
+            return False, res.x
+    return True, None

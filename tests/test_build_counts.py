@@ -7,7 +7,8 @@ a certificate support of fixed rows is eliminated once, not per candidate.
 Where the zero matrix's supports prove the whole ball, the oracle stops
 after the zero matrix: no pattern or sample is built. Parsing a valid
 ordering cone makes its two double descriptions and one interior LP, and
-no box probe.
+no box probe. A cone that is {0} costs certify one LP and no probe, and
+an inclusion solves no LP for an outer row the inner cone lists.
 
 Functions are counted wherever a vopcert module binds them: a
 `from .geometry import g1_cone` copies the binding into the importing
@@ -24,6 +25,7 @@ from helpers import Q, af, maxfn, minfn, qv, smooth
 from vopcert.certify import (
     CONIC_GATE, ROBUST_CERTIFIED, Domination, VOPInstance, certify,
 )
+from vopcert.cones import ConeHRep, hrep_subset
 from vopcert.gapfn import gap_necessary_check
 from vopcert.geometry import (
     ConicBlockSet, PolyhedralSet, validate_ordering_cone,
@@ -32,6 +34,7 @@ from vopcert.instances import parse_instance_text, report_document
 from vopcert.oracle import (
     NO_COUNTEREXAMPLE, PerturbationMatrix, radius_estimate, robust_oracle,
 )
+from vopcert.rationals import dedup_rows
 
 ORTHANT2 = validate_ordering_cone(2, rows=(qv(-1, 0), qv(0, -1)))
 K_EX = validate_ordering_cone(2, rows=(qv(-1, -1), qv(-1, 0)))
@@ -42,6 +45,10 @@ EXAMPLE = VOPInstance((maxfn(af([0]), af([1])), minfn(af([-1]), af([0]))),
 ABS_PAIR = VOPInstance((maxfn(af([1, 0]), af([-1, 0])),
                         maxfn(af([0, 1]), af([0, -1]))),
                        PolyhedralSet((), ()), ORTHANT2, 2)
+# the same objectives on the box [-1, 1]^2: RobustCertified at the origin
+ABS_BOX = VOPInstance(ABS_PAIR.objectives,
+                      PolyhedralSet((qv(1, 0), qv(-1, 0), qv(0, 1), qv(0, -1)),
+                                    qv(1, 1, 1, 1)), ORTHANT2, 2)
 # a radius above that certificate's, so the oracle scans every candidate;
 # the zero matrix's supports still settle them all
 SCANNED_R = Q(3, 4)
@@ -132,10 +139,7 @@ def test_conic_convexity_decided_when_the_flags_stop_early(monkeypatch):
 
 
 def test_gap_check_builds_the_polytope_once(monkeypatch):
-    box = PolyhedralSet((qv(1, 0), qv(-1, 0), qv(0, 1), qv(0, -1)),
-                        qv(1, 1, 1, 1))
-    inst = VOPInstance((maxfn(af([1, 0]), af([-1, 0])),
-                        maxfn(af([0, 1]), af([0, -1]))), box, ORTHANT2, 2)
+    inst = ABS_BOX
     xbar = qv(0, 0)
     assert certify(inst, xbar).status == ROBUST_CERTIFIED
     faces = _count(monkeypatch, "gapfn", "enumerate_faces")
@@ -322,3 +326,52 @@ def test_parsing_a_valid_cone_probes_nothing(monkeypatch, cone):
     parse_instance_text(json.dumps(doc))
     assert {name: len(c) for name, c in counts.items()} == {
         "cone_is_trivial": 0, "feasible_point": 0, "lp_solve": 1, "_dd": 2}
+
+
+def _spy_lps(monkeypatch, module, name, lps, points, record):
+    """Wrap vopcert.<module>.<name> to record, per call, how many of the
+    counted LPs and probes it made."""
+    holder = sys.modules[f"vopcert.{module}"]
+    original = getattr(holder, name)
+
+    def spy(*args):
+        before = len(lps), len(points)
+        out = original(*args)
+        record.append((len(lps) - before[0], len(points) - before[1]))
+        return out
+
+    monkeypatch.setattr(holder, name, spy)
+
+
+def test_cone_decisions_solve_one_lp_per_trivial_cone(monkeypatch):
+    # at the origin both conditions' cones are {0} in both forms. Each
+    # trivial cone costs its one boxed LP; the span form's double
+    # description round trip probes nothing; and the two non-ascent cones
+    # list the same rows, so cones_coincide proves both inclusions
+    # without an LP
+    lps = _count(monkeypatch, "linprog", "lp_solve", only_in="cones")
+    points = _count(monkeypatch, "linprog", "feasible_point", only_in="cones")
+    reports, spans, subsets = [], [], []
+    for name in ("_necessary_reports", "_sufficient_reports"):
+        _spy_lps(monkeypatch, "certify", name, lps, points, reports)
+    _spy_lps(monkeypatch, "certify", "_span_form", lps, points, spans)
+    _spy_lps(monkeypatch, "cones", "hrep_subset", lps, points, subsets)
+    verdict = certify(ABS_BOX, qv(0, 0))
+    assert verdict.status == ROBUST_CERTIFIED
+    # intersection and span form: two trivial cones per condition
+    assert reports == [(2, 0), (2, 0)]
+    assert spans == [(1, 0), (1, 0)]
+    assert subsets == [(0, 0), (0, 0)]
+    assert (len(lps), len(points)) == (4, 0)
+
+
+def test_inclusion_solves_one_lp_per_unlisted_row(monkeypatch):
+    lps = _count(monkeypatch, "linprog", "lp_solve", only_in="cones")
+    orthant = ConeHRep(2, (qv(-1, 0), qv(0, -2)))
+    # (0, -1) is the orthant's second row once both are primitive
+    outer = ConeHRep(2, (qv(0, -1), qv(-1, -1), qv(-2, 0), qv(-1, -3)))
+    assert hrep_subset(orthant, outer) == (True, None)
+    listed = set(dedup_rows(orthant.rows))
+    assert [tuple(args[0]) for args in lps] == \
+        [r for r in dedup_rows(outer.rows) if r not in listed]
+    assert len(lps) == 2

@@ -70,7 +70,7 @@ def _capture(monkeypatch):
 
 def _run_families():
     rng = random.Random(20261018)
-    for i in range(180):
+    for i in range(250):
         inst, xbar = random_instance(rng, MODES[i % 3])
         verdict = certify(inst, xbar)
         if verdict.status == NOT_ROBUST_CERTIFIED or i % 9 == 2:
