@@ -632,14 +632,14 @@ def efficiency_check(inst: VOPInstance, xbar: Vec) -> EfficiencyResult:
 # ---------------------------------------------------------------------------
 # cone conditions
 
-def _span_form(rows, dim, trivial: bool, branch: str):
+def _span_form(cone: ConeHRep, trivial: bool, branch: str):
     """Dual route: the sum of the generated cone and nothing else fills space
-    iff the polar (rows as halfspaces) is trivial; decided after a full
-    double-description round trip so it is a genuinely independent path,
-    and it must agree with the intersection form. Returns (verdict, note),
-    the note set when double description is out of reach."""
+    iff the polar (the cone's rows as halfspaces) is trivial; decided after
+    a full double-description round trip so it is a genuinely independent
+    path, and it must agree with the intersection form. Returns (verdict,
+    note), the note set when double description is out of reach."""
     try:
-        gens = dd_generators_from_halfspaces(ConeHRep(dim, rows))
+        gens = dd_generators_from_halfspaces(cone)
         span_ok = is_trivial(dd_halfspaces_from_generators(gens))
     except CapabilityError as exc:
         return None, f"capability: {exc}"
@@ -684,17 +684,16 @@ def _necessary_reports(a: _Analysis):
         note = "conic gate failed; necessary branch skipped"
         return (ConditionReport(NECESSARY_INTERSECTION, None, exact=False, note=note),
                 ConditionReport(NECESSARY_SPAN, None, exact=False, note=note))
-    n = a.inst.n
-    rows = a.g1.rows + a.tangent.cone.rows
-    trivial, witness = cone_is_trivial(ConeHRep(n, rows))
+    cone = ConeHRep(a.inst.n, a.g1.rows + a.tangent.cone.rows)
+    trivial, witness = cone_is_trivial(cone)
     if trivial:
         inter = ConditionReport(NECESSARY_INTERSECTION, True,
                                 exact=a.tangent_exact, note=a.tangent.note)
     else:
-        if is_zero_vec(witness) or any(vdot(r, witness) > 0 for r in rows):
+        if is_zero_vec(witness) or not cone.contains(witness):
             raise ConsistencyError("necessary witness failed substitution")
         inter = ConditionReport(NECESSARY_INTERSECTION, False, witness)
-    span_ok, note = _span_form(rows, n, trivial, "necessary")
+    span_ok, note = _span_form(cone, trivial, "necessary")
     if note:
         return inter, ConditionReport(NECESSARY_SPAN, None, exact=False, note=note)
     return inter, ConditionReport(NECESSARY_SPAN, span_ok,
@@ -702,9 +701,8 @@ def _necessary_reports(a: _Analysis):
 
 
 def _sufficient_reports(a: _Analysis, hypotheses_ok: Optional[bool]):
-    n = a.inst.n
-    rows = a.g2.hrep.rows + a.tangent.cone.rows
-    trivial, witness = cone_is_trivial(ConeHRep(n, rows))
+    cone = ConeHRep(a.inst.n, a.g2.hrep.rows + a.tangent.cone.rows)
+    trivial, witness = cone_is_trivial(cone)
     exact = a.g2.exact and a.tangent_exact
     if trivial and hypotheses_ok and exact:
         inter = ConditionReport(SUFFICIENT_INTERSECTION, True)
@@ -717,7 +715,7 @@ def _sufficient_reports(a: _Analysis, hypotheses_ok: Optional[bool]):
             "cones not exact"
         inter = ConditionReport(SUFFICIENT_INTERSECTION, None, exact=exact,
                                 note=why)
-    span_ok, note = _span_form(rows, n, trivial, "sufficient")
+    span_ok, note = _span_form(cone, trivial, "sufficient")
     if note:
         return inter, ConditionReport(SUFFICIENT_SPAN, None, exact=False, note=note)
     if inter.holds is None:

@@ -3,6 +3,10 @@
 Cones live in two exact representations:
   ConeHRep: {d : rows @ d <= 0}
   ConeVRep: pos(generators)
+Both hold their rows canonical: primitive, nonzero and distinct, in
+first-appearance order (`rationals.dedup_rows`). The constructor sets that
+form once, as it leaves the cone as it was, and every kernel below reads a
+cone's rows as they are.
 Conversion both ways goes through one core routine (_dd) computing the
 extreme rays of an intersection of homogeneous halfspaces, Motzkin-style
 with lineality factored out first. It runs on primitive integer rows and
@@ -42,6 +46,9 @@ class ConeHRep:
     dim: int
     rows: Mat
 
+    def __post_init__(self):
+        object.__setattr__(self, "rows", dedup_rows(self.rows))
+
     def contains(self, d) -> bool:
         return all(vdot(r, d) <= 0 for r in self.rows)
 
@@ -50,6 +57,9 @@ class ConeHRep:
 class ConeVRep:
     dim: int
     generators: Mat
+
+    def __post_init__(self):
+        object.__setattr__(self, "generators", dedup_rows(self.generators))
 
     def contains(self, d) -> bool:
         gens = self.generators
@@ -62,17 +72,6 @@ class ConeVRep:
 def _box(n: int):
     """The rows -1 <= d_j <= 1 of the unit box, coordinate by coordinate."""
     return [le(unit(n, j, sign), Q1) for j in range(n) for sign in (1, -1)]
-
-
-def _trivial_rows(rows: Mat, n: int) -> bool:
-    """`is_trivial` on rows that `dedup_rows` already returned."""
-    if matrix_rank(rows) < n:
-        return False
-    objective = vneg(lincomb([Q1] * len(rows), rows, n))
-    res = lp_solve(objective, [le(r, Q0) for r in rows] + _box(n))
-    if res.status != OPTIMAL:  # boxed and contains 0
-        raise ConsistencyError("boxed triviality LP is not optimal")
-    return res.value == 0
 
 
 def is_trivial(cone: ConeHRep) -> bool:
@@ -88,7 +87,14 @@ def is_trivial(cone: ConeHRep) -> bool:
     n variables. The origin is feasible, so no phase 1 is needed, and the
     box bounds the LP, so any status but OPTIMAL raises ConsistencyError.
     """
-    return _trivial_rows(dedup_rows(cone.rows), cone.dim)
+    rows, n = cone.rows, cone.dim
+    if matrix_rank(rows) < n:
+        return False
+    objective = vneg(lincomb([Q1] * len(rows), rows, n))
+    res = lp_solve(objective, [le(r, Q0) for r in rows] + _box(n))
+    if res.status != OPTIMAL:  # boxed and contains 0
+        raise ConsistencyError("boxed triviality LP is not optimal")
+    return res.value == 0
 
 
 def cone_is_trivial(cone: ConeHRep) -> Tuple[bool, Optional[Vec]]:
@@ -102,11 +108,10 @@ def cone_is_trivial(cone: ConeHRep) -> Tuple[bool, Optional[Vec]]:
     nontrivial verdict that no probe confirms raises ConsistencyError.
     An empty row list describes the whole space: witness e_1.
     """
-    n = cone.dim
-    rows = dedup_rows(cone.rows)
+    n, rows = cone.dim, cone.rows
     if not rows:
         return False, unit(n, 0)
-    if _trivial_rows(rows, n):
+    if is_trivial(cone):
         return True, None
     base = [le(r, Q0) for r in rows]
     box = _box(n)
@@ -137,8 +142,7 @@ def _third_contains(common: int, masks: List[int]) -> bool:
 
 def _dd_pointed(rows: Mat, dim: int) -> List[Tuple[int, ...]]:
     """Extreme rays of a pointed cone {d : rows d <= 0} with rank(rows) = dim,
-    as primitive integer tuples; rows are primitive, as `dedup_rows` leaves
-    them.
+    as primitive integer tuples; rows are primitive, as a cone holds them.
 
     Each ray carries the bitmask of the processed rows it makes tight. The
     rays kept after each row are the extreme rays of the cone of the rows
@@ -186,12 +190,11 @@ def _dd_pointed(rows: Mat, dim: int) -> List[Tuple[int, ...]]:
 
 def _dd(rows: Mat, dim: int) -> Mat:
     """Extreme rays (plus lineality pairs) of {d : rows d <= 0}, as the
-    sorted primitive rows."""
+    sorted primitive rows; `rows` are a cone's canonical rows."""
     if dim > DD_DIMENSION_CAP:
         raise CapabilityError(
             f"double description capped at ambient dimension {DD_DIMENSION_CAP}; "
             f"got {dim} (sampling-only checks remain available)")
-    rows = dedup_rows(rows)
     if not rows:
         out = []
         for k in range(dim):
@@ -225,19 +228,17 @@ def dd_halfspaces_from_generators(cone: ConeVRep) -> ConeHRep:
 def hrep_subset(inner: ConeHRep, outer: ConeHRep) -> Tuple[bool, Optional[Vec]]:
     """Is {inner} a subset of {outer}? Witness lies in inner but not outer.
 
-    Pure LP route over the primitive rows `dedup_rows` gives: for each
-    outer row b, maximize b d over the inner cone boxed to [-1,1]^n. The
-    box holds a positive multiple of every inner point, so inner lies in
+    Pure LP route over the cones' canonical rows: for each outer row b,
+    maximize b d over the inner cone boxed to [-1,1]^n. The box holds a
+    positive multiple of every inner point, so inner lies in
     {b d <= 0} iff that maximum is 0, and a positive optimum's point is the
     witness. An outer row that inner lists holds on inner by definition:
     its maximum would be 0, so it is skipped without an LP, and the result
     is the one the full sweep gives.
     """
-    n = inner.dim
-    rows = dedup_rows(inner.rows)
-    listed = set(rows)
-    rels = [le(r, Q0) for r in rows] + _box(n)
-    for row in dedup_rows(outer.rows):
+    listed = set(inner.rows)
+    rels = [le(r, Q0) for r in inner.rows] + _box(inner.dim)
+    for row in outer.rows:
         if row in listed:
             continue
         res = lp_solve(row, rels)

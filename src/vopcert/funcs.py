@@ -4,7 +4,8 @@ Supported scalar components are finite max/min families of affine or
 quadratic pieces (a single piece is the smooth case). For such functions the
 generalized gradient at a point is the convex hull of the active piece
 gradients, represented here as an explicit vertex list (possibly redundant;
-the meaning is always the hull).
+the meaning is always the hull). A `SubdiffPolytope` keeps each vertex once,
+in first-appearance order; its constructor sets that for every route.
 
 Scalarizations m^T f are exact on three routes (all-smooth, all-affine
 pieces via essentially active selections, nonnegative weights over convex
@@ -107,18 +108,15 @@ class SubdiffPolytope:
     vertices: Mat
     exact: bool = True
 
+    def __post_init__(self):
+        object.__setattr__(self, "vertices",
+                           tuple(dict.fromkeys(self.vertices)))
+
 
 def clarke_subdiff_component(fn: PieceFn, x) -> SubdiffPolytope:
     """Hull of the active piece gradients (exact for max/min of C1 pieces)."""
-    n = len(x)
-    grads = [fn.pieces[i].grad(x) for i in fn.active_indices(x)]
-    seen = set()
-    verts = []
-    for g in grads:
-        if g not in seen:
-            seen.add(g)
-            verts.append(g)
-    return SubdiffPolytope(n, tuple(verts))
+    return SubdiffPolytope(len(x), [fn.pieces[i].grad(x)
+                                    for i in fn.active_indices(x)])
 
 
 def subdiff_contains(poly: SubdiffPolytope, v: Sequence[Fraction]) -> bool:
@@ -257,8 +255,7 @@ def _minkowski_vertices(components, mu, xbar) -> Mat:
                 for m, fn in zip(mu, components) if m]
     weights = [m for m, _ in weighted]
     choices = itertools.product(*(verts for _, verts in weighted))
-    return tuple(dict.fromkeys(lincomb(weights, choice, len(xbar))
-                               for choice in choices))
+    return tuple(lincomb(weights, choice, len(xbar)) for choice in choices)
 
 
 def scalarized_subdiffs(mus: Sequence[Vec], components: Sequence[PieceFn],
@@ -282,8 +279,9 @@ def scalarized_subdiffs(mus: Sequence[Vec], components: Sequence[PieceFn],
     if _all_affine(components):
         selected = [[fn.pieces[s].a for fn, s in zip(components, sel.indices)]
                     for sel in essentially_active_selections(components, xbar)]
-        return tuple(SubdiffPolytope(n, tuple(dict.fromkeys(
-            lincomb(mu, grads, n) for grads in selected))) for mu in mus)
+        return tuple(SubdiffPolytope(n, [lincomb(mu, grads, n)
+                                         for grads in selected])
+                     for mu in mus)
     return tuple(SubdiffPolytope(n, _minkowski_vertices(components, mu, xbar),
                                  _regular_convex_route(components, mu))
                  for mu in mus)

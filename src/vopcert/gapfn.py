@@ -70,6 +70,8 @@ def gap_query(components: Sequence[PieceFn], x: Vec,
     if len(columns) != len(components):
         raise InstanceFormatError("one scalarization column per component")
     for j, (fn, col) in enumerate(zip(components, columns)):
+        if len(col) != len(x):
+            raise InstanceFormatError(f"column {j} needs {len(x)} entries")
         if not subdiff_contains(clarke_subdiff_component(fn, x), col):
             raise InstanceFormatError(
                 f"column {j} is outside the component's generalized gradient")

@@ -33,8 +33,8 @@ from .funcs import (
 )
 from .linprog import INFEASIBLE, le, lp_solve, feasible_point
 from .rationals import (
-    Mat, Q0, Q1, Vec, dedup_rows, is_zero_vec, lincomb, nullspace_basis, vdot,
-    vneg, zeros,
+    Mat, Q0, Q1, Vec, is_zero_vec, lincomb, nullspace_basis, vdot, vneg,
+    zeros,
 )
 
 
@@ -68,10 +68,9 @@ def validate_ordering_cone(dim: int, rows: Optional[Mat] = None,
     if rows is None and generators is None:
         raise ValueError("need an H-rep or a V-rep")
     if rows is None:
-        hrep = dd_halfspaces_from_generators(
-            ConeVRep(dim, dedup_rows(generators)))
+        hrep = dd_halfspaces_from_generators(ConeVRep(dim, generators))
     else:
-        hrep = ConeHRep(dim, dedup_rows(rows))
+        hrep = ConeHRep(dim, rows)
     vrep = dd_generators_from_halfspaces(hrep)
 
     lines = nullspace_basis(hrep.rows, dim)
@@ -184,15 +183,14 @@ def conic_support(block: ConicBlockSet, xbar: Vec) -> ConicSupport:
     for v, verts in zip(vals, verts_by_rep):
         if v == 0:
             up.extend(verts)
-    dcone = ConeHRep(n, dedup_rows(up))
+    dcone = ConeHRep(n, up)
     # gate: 0 in the hull of gradient vertices over the maximizing reps
     gmax = max(vals)
     hull = []
     for v, verts in zip(vals, verts_by_rep):
         if v == gmax:
             hull.extend(verts)
-    zero_in = subdiff_contains(SubdiffPolytope(n, tuple(dict.fromkeys(hull))),
-                               zeros(n))
+    zero_in = subdiff_contains(SubdiffPolytope(n, hull), zeros(n))
     return ConicSupport(dcone, zero_in, exact)
 
 
@@ -251,14 +249,13 @@ def tangent_cone(omega: FeasibleSet, xbar: Vec) -> TangentCone:
         raise InfeasiblePointError("base point is outside the feasible set")
     if isinstance(omega, PolyhedralSet):
         act = polyhedral_active_rows(omega, xbar)
-        rows = dedup_rows([omega.rows[j] for j in act])
-        return TangentCone(ConeHRep(n, rows))
+        return TangentCone(ConeHRep(n, [omega.rows[j] for j in act]))
     if isinstance(omega, ConicBlockSet):
         sup = conic_support(omega, xbar)
         exact, note, conv = _conic_flags(omega, sup)
         return TangentCone(sup.dcone, exact, note, not sup.zero_in_subdiff, conv)
     near = [c.a for c in omega.constraints if c.value(xbar) >= -omega.tau]
-    return TangentCone(ConeHRep(n, dedup_rows(near)), False, DISCRETIZATION_NOTE)
+    return TangentCone(ConeHRep(n, near), False, DISCRETIZATION_NOTE)
 
 
 def polar_normal(tangent: TangentCone) -> NormalCone:
@@ -285,7 +282,7 @@ def g1_cone(components: Sequence[PieceFn], cone: OrderingCone, xbar: Vec) -> Con
     per_comp = [clarke_subdiff_component(fn, xbar).vertices for fn in components]
     rows = [lincomb(mu, choice, n) for mu in cone.dual_neg_gens.generators
             for choice in product(*per_comp)]
-    return ConeHRep(n, dedup_rows(rows))
+    return ConeHRep(n, rows)
 
 
 @dataclass(frozen=True)
@@ -308,7 +305,7 @@ def g2_cone(components: Sequence[PieceFn], cone: OrderingCone, xbar: Vec) -> G2R
     rows of every nonnegative combination, so generators suffice.
     """
     subs = scalarized_subdiffs(cone.dual_neg_gens.generators, components, xbar)
-    rows = dedup_rows([v for sub in subs for v in sub.vertices])
+    rows = [v for sub in subs for v in sub.vertices]
     return G2Result(ConeHRep(len(xbar), rows), all(sub.exact for sub in subs))
 
 

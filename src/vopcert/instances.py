@@ -85,6 +85,9 @@ def _parse_piece(doc, path: str, n: int):
         h = _mat(doc["h"], f"{path}.h", n)
         if len(h) != n:
             raise _fail(f"{path}.h", f"expected {n} rows")
+        # the gradient h x + a holds only for a symmetric h
+        if any(h[i][j] != h[j][i] for i in range(n) for j in range(i)):
+            raise _fail(f"{path}.h", "expected a symmetric matrix")
         return QuadPiece(h, a, b)
     return AffinePiece(a, b)
 
@@ -215,10 +218,6 @@ def encode(value):
 
 def decode_vector(value, path: str = "vector") -> Vec:
     return _vec(value, path)
-
-
-def decode_matrix(value, path: str = "matrix") -> Tuple[Vec, ...]:
-    return _mat(value, path)
 
 
 def cone_data(inst: VOPInstance, xbar: Vec) -> Dict[str, object]:

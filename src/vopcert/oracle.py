@@ -251,9 +251,9 @@ def radius_estimate(inst: VOPInstance, xbar: Vec, r_max, budget: int = 200,
     r_max = Fraction(r_max)
     if r_max < 0:
         raise InstanceFormatError("radius bound must be nonnegative")
+    _check_budget(budget)
     if r_max == 0:
         return RadiusEstimate(None, Fraction(0), ())
-    _check_budget(budget)
     problem = _problem(inst, xbar)
     lo, hi = Fraction(0), r_max
     refuted_at: Optional[Fraction] = None

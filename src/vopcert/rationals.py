@@ -122,8 +122,11 @@ def primitive(v: Sequence[Fraction]) -> Vec:
     """Canonical representative of the ray through v: integer entries, gcd 1.
 
     Direction (sign) is preserved; only positive scaling is normalized away.
-    The zero vector maps to itself.
+    The zero vector maps to itself, and a canonical row comes back as it is.
     """
+    if all(type(x) is Fraction and x.denominator == 1 for x in v) \
+            and math.gcd(*(x.numerator for x in v)) == 1:
+        return tuple(v)
     if is_zero_vec(v):
         return tuple(Q0 for _ in v)
     ints, _ = integer_row(v)

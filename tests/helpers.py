@@ -63,6 +63,23 @@ def qv(*vals):
     return tuple(Q(v) for v in vals)
 
 
+# f = (1/2 x^T h x, -x1) on [0, 1]^2 at (1, 0) under the orthant, with the
+# asymmetric h = [[0, 2], [0, 0]]: f1 = x1 x2 rises along (0, 1), and h x
+# is not its gradient; taken for one, it refutes with witness (0, 1)
+ASYMMETRIC_H_DOC = {
+    "dims": {"n": 2, "p": 2},
+    "objectives": [
+        {"kind": "smooth", "pieces": [{"h": [[0, 2], [0, 0]], "a": [0, 0]}]},
+        {"kind": "smooth", "pieces": [{"a": [-1, 0]}]},
+    ],
+    "cone": {"hrep": [[-1, 0], [0, -1]]},
+    "feasible": {"type": "polyhedral",
+                 "rows": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                 "rhs": [1, 0, 1, 0]},
+    "candidate": [1, 0],
+}
+
+
 def support_of(vertices, d) -> Fraction:
     return max(vdot(v, d) for v in vertices)
 

@@ -8,7 +8,8 @@ Where the zero matrix's supports prove the whole ball, the oracle stops
 after the zero matrix: no pattern or sample is built. Parsing a valid
 ordering cone makes its two double descriptions and one interior LP, and
 no box probe. A cone that is {0} costs certify one LP and no probe, and
-an inclusion solves no LP for an outer row the inner cone lists.
+an inclusion solves no LP for an outer row the inner cone lists. Cone rows
+are canonicalized once, by the constructor, and by no kernel that reads them.
 
 Functions are counted wherever a vopcert module binds them: a
 `from .geometry import g1_cone` copies the binding into the importing
@@ -34,7 +35,6 @@ from vopcert.instances import parse_instance_text, report_document
 from vopcert.oracle import (
     NO_COUNTEREXAMPLE, PerturbationMatrix, radius_estimate, robust_oracle,
 )
-from vopcert.rationals import dedup_rows
 
 ORTHANT2 = validate_ordering_cone(2, rows=(qv(-1, 0), qv(0, -1)))
 K_EX = validate_ordering_cone(2, rows=(qv(-1, -1), qv(-1, 0)))
@@ -329,10 +329,9 @@ def test_parsing_a_valid_cone_probes_nothing(monkeypatch, cone):
 
 
 def _spy_lps(monkeypatch, module, name, lps, points, record):
-    """Wrap vopcert.<module>.<name> to record, per call, how many of the
-    counted LPs and probes it made."""
-    holder = sys.modules[f"vopcert.{module}"]
-    original = getattr(holder, name)
+    """Wrap vopcert.<module>.<name>, wherever a vopcert module binds it, to
+    record, per call, how many of the counted LPs and probes it made."""
+    original = getattr(sys.modules[f"vopcert.{module}"], name)
 
     def spy(*args):
         before = len(lps), len(points)
@@ -340,7 +339,9 @@ def _spy_lps(monkeypatch, module, name, lps, points, record):
         record.append((len(lps) - before[0], len(points) - before[1]))
         return out
 
-    monkeypatch.setattr(holder, name, spy)
+    for key, mod in sys.modules.items():
+        if key.startswith("vopcert.") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, spy)
 
 
 def test_cone_decisions_solve_one_lp_per_trivial_cone(monkeypatch):
@@ -371,7 +372,23 @@ def test_inclusion_solves_one_lp_per_unlisted_row(monkeypatch):
     # (0, -1) is the orthant's second row once both are primitive
     outer = ConeHRep(2, (qv(0, -1), qv(-1, -1), qv(-2, 0), qv(-1, -3)))
     assert hrep_subset(orthant, outer) == (True, None)
-    listed = set(dedup_rows(orthant.rows))
+    listed = set(orthant.rows)
     assert [tuple(args[0]) for args in lps] == \
-        [r for r in dedup_rows(outer.rows) if r not in listed]
+        [r for r in outer.rows if r not in listed]
     assert len(lps) == 2
+
+
+def test_cone_rows_are_canonicalized_once_where_built(monkeypatch):
+    # certify on ABS_BOX at the origin builds ten cones: the tangent cone,
+    # g1 and g2, and per condition the intersection cone and its two double
+    # descriptions. Each constructor canonicalizes its rows once, and no
+    # kernel that reads a cone's rows canonicalizes them again
+    dedups = _count(monkeypatch, "rationals", "dedup_rows")
+    kernels = []
+    for name in ("is_trivial", "cone_is_trivial", "_dd", "hrep_subset"):
+        _spy_lps(monkeypatch, "cones", name, dedups, [], kernels)
+    assert certify(ABS_BOX, qv(0, 0)).status == ROBUST_CERTIFIED
+    assert len(dedups) == 10
+    # 2 cone_is_trivial (each calling is_trivial), 2 span-form is_trivial,
+    # 4 double descriptions and the 2 inclusions of cones_coincide
+    assert kernels == [(0, 0)] * 12

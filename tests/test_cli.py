@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from helpers import ASYMMETRIC_H_DOC
 from vopcert import cli
 from vopcert.cli import main
 from vopcert.errors import ConsistencyError
@@ -129,6 +130,18 @@ def test_negative_sample_budget_exits_65(tmp_path, capsys):
     assert "sample budget" in capsys.readouterr().err
     assert main(["radius", path, "--max", "1/10", "--samples", "-3"]) == 65
     assert "sample budget" in capsys.readouterr().err
+
+
+def test_zero_radius_still_checks_the_budget(tmp_path, capsys):
+    path = _write(tmp_path, EX1)
+    assert main(["radius", path, "--max", "0", "--samples", "-5"]) == 65
+    assert "sample budget" in capsys.readouterr().err
+
+
+def test_asymmetric_quadratic_exits_65(tmp_path, capsys):
+    assert main(["certify", _write(tmp_path, ASYMMETRIC_H_DOC)]) == 65
+    assert "objectives[0].pieces[0].h: expected a symmetric" in \
+        capsys.readouterr().err
 
 
 def test_describe_round_trip(tmp_path, capsys):

@@ -174,32 +174,47 @@ def _reference_rows(rng, dim, count):
 
 
 def _reference_cones(seed, count):
+    """(rng, raw rows, the cone they describe), seeded."""
     rng = random.Random(seed)
     for _ in range(count):
         dim = rng.randint(1, 6)
-        yield rng, ConeHRep(dim, _reference_rows(rng, dim, rng.randint(0, 12)))
+        raw = _reference_rows(rng, dim, rng.randint(0, 12))
+        yield rng, raw, ConeHRep(dim, raw)
 
 
 def test_dd_matches_the_rank_reference():
+    # the reference canonicalizes the raw rows itself; _dd reads the rows
+    # the cone's constructor canonicalized
     seen = set()
-    for _, cone in _reference_cones(20261020, 3000):
+    for _, raw, cone in _reference_cones(20261020, 3000):
         got = _dd(cone.rows, cone.dim)
-        expected = reference_dd(cone.rows, cone.dim)
+        expected = reference_dd(raw, cone.dim)
         assert got == expected and repr(got) == repr(expected), cone
-        rows = dedup_rows(cone.rows)
-        nonzero = [r for r in cone.rows if any(r)]
-        pointed = bool(rows) and matrix_rank(rows) == cone.dim
+        nonzero = [r for r in raw if any(r)]
+        pointed = bool(cone.rows) and matrix_rank(cone.rows) == cone.dim
         seen.add("pointed" if pointed else "lineality")
-        if len(nonzero) < len(cone.rows):
+        if len(nonzero) < len(raw):
             seen.add("zero row")
-        if len(rows) < len(nonzero):
+        if len(cone.rows) < len(nonzero):
             seen.add("duplicate")
     assert seen == {"lineality", "zero row", "duplicate", "pointed"}
 
 
+def test_cones_hold_their_rows_canonical():
+    for _, raw, cone in _reference_cones(20261020, 3000):
+        expected = dedup_rows(raw)
+        assert cone.rows == expected and repr(cone.rows) == repr(expected)
+        gens = ConeVRep(cone.dim, raw).generators
+        assert gens == expected and repr(gens) == repr(expected)
+        # canonical rows pass through a constructor again as the same objects
+        again = ConeHRep(cone.dim, cone.rows).rows
+        assert all(a is b for a, b in zip(again, cone.rows))
+        assert len(again) == len(cone.rows)
+
+
 def test_triviality_matches_the_probe_reference():
     verdicts = set()
-    for _, cone in _reference_cones(20261021, 3000):
+    for _, _, cone in _reference_cones(20261021, 3000):
         got = cone_is_trivial(cone)
         expected = reference_cone_is_trivial(cone)
         assert got == expected and repr(got) == repr(expected), cone
@@ -211,7 +226,7 @@ def test_triviality_matches_the_probe_reference():
 def test_inclusion_matches_the_sweep_reference():
     verdicts = set()
     listed = 0
-    for rng, inner in _reference_cones(20261022, 3000):
+    for rng, _, inner in _reference_cones(20261022, 3000):
         rows = list(_reference_rows(rng, inner.dim, rng.randint(0, 6)))
         # outer rows copied from inner, some rescaled, and positive
         # combinations of inner rows, which hold on inner without being listed
@@ -227,7 +242,7 @@ def test_inclusion_matches_the_sweep_reference():
         expected = reference_hrep_subset(inner, outer)
         assert got == expected and repr(got) == repr(expected), (inner, outer)
         verdicts.add(got[0])
-        listed += bool(set(dedup_rows(inner.rows)) & set(dedup_rows(rows)))
+        listed += bool(set(inner.rows) & set(outer.rows))
     assert verdicts == {True, False} and listed > 500
 
 

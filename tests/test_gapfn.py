@@ -134,6 +134,12 @@ def test_gap_query_membership_validation():
         gap_query(EX_BOX.objectives, qv(0), (qv(1),))
 
 
+@pytest.mark.parametrize("column", [qv(1, 5), qv()], ids=["long", "short"])
+def test_gap_query_checks_column_length(column):
+    with pytest.raises(InstanceFormatError, match="column 0 needs 1 entries"):
+        gap_query(EX_BOX.objectives, qv(0), (column, qv(0)))
+
+
 def test_unbounded_feasible_set_rejected():
     inst = VOPInstance((smooth(af([1])), smooth(af([-1]))),
                        PolyhedralSet((), ()), ORTHANT2, 1)

@@ -4,14 +4,14 @@ import json
 
 import pytest
 
-from helpers import Q, qv
-from vopcert.certify import NOT_ROBUST_CERTIFIED, certify
+from helpers import ASYMMETRIC_H_DOC, Q, qv
+from vopcert.certify import INCONCLUSIVE, NOT_ROBUST_CERTIFIED, certify
 from vopcert.errors import (
     EmptyInteriorError, InstanceFormatError, NotPointedError,
 )
 from vopcert.geometry import ConicBlockSet, DiscretizedSet, PolyhedralSet
 from vopcert.instances import (
-    cone_data, decode_matrix, decode_vector, describe_document, encode,
+    cone_data, decode_vector, describe_document, encode,
     oracle_document, parse_instance, parse_instance_text, report_document,
     verify_report,
 )
@@ -107,6 +107,17 @@ def test_smooth_kind_checks_piece_count():
         _parse(doc)
 
 
+def test_asymmetric_quadratic_is_rejected():
+    with pytest.raises(InstanceFormatError,
+                       match=r"objectives\[0\]\.pieces\[0\]\.h: expected a symmetric"):
+        _parse(ASYMMETRIC_H_DOC)
+    # the symmetric form of the same function parses, and refutes nothing
+    doc = json.loads(json.dumps(ASYMMETRIC_H_DOC))
+    doc["objectives"][0]["pieces"][0]["h"] = [[0, 1], [1, 0]]
+    parsed = _parse(doc)
+    assert certify(parsed.instance, parsed.candidate).status == INCONCLUSIVE
+
+
 def test_conic_feasible_parses_and_needs_q():
     doc = _ex1_doc()
     doc["dims"] = {"n": 1, "p": 2, "q": 1}
@@ -146,9 +157,13 @@ def test_encode_rationals():
     assert encode({"a": None, "b": True}) == {"a": None, "b": True}
 
 
+def _decode_rows(value):
+    return tuple(decode_vector(row) for row in value)
+
+
 def test_decode_round_trip():
     rows = (qv(1, Q(-2, 7)), qv(0, 3))
-    assert decode_matrix(encode(rows)) == rows
+    assert _decode_rows(encode(rows)) == rows
     assert decode_vector(encode(qv(Q(5, 2)))) == qv(Q(5, 2))
 
 
@@ -159,8 +174,8 @@ def test_describe_document_reparses_to_same_sets():
         describe_document(parsed.instance, parsed.candidate)))
     for key in ("cone_hrep", "dual_neg_generators", "g1_rows", "g2_rows",
                 "tangent_rows", "normal_generators"):
-        assert decode_matrix(doc[key]) == tuple(raw[key])
-    assert [decode_matrix(m) for m in doc["subdifferentials"]] == \
+        assert _decode_rows(doc[key]) == tuple(raw[key])
+    assert [_decode_rows(m) for m in doc["subdifferentials"]] == \
         [tuple(v) for v in raw["subdifferentials"]]
 
 
