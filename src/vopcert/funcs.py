@@ -53,6 +53,13 @@ class QuadPiece:
     a: Vec
     b: Fraction
 
+    def __post_init__(self):
+        # the gradient h x + a holds only for a symmetric h
+        h = self.h
+        if any(len(row) != len(h) for row in h) or any(
+                h[i][j] != h[j][i] for i in range(len(h)) for j in range(i)):
+            raise ValueError("expected a symmetric matrix")
+
     def value(self, x) -> Fraction:
         hx = mat_vec(self.h, x)
         return vdot(x, hx) / 2 + vdot(self.a, x) + self.b

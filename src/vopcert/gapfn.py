@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .certify import ConditionReport, Domination, VOPInstance, polyhedral_reduction
-from .cones import ConeHRep, dd_generators_from_halfspaces
+from .cones import ConeHRep, dd_generators_from_halfspaces, is_trivial
 from .errors import (
     CapabilityError, ConsistencyError, InfeasiblePointError,
     InstanceFormatError,
@@ -46,7 +46,7 @@ from .geometry import (
     FeasibleSet, OrderingCone, PolyhedralSet, feasible_contains,
     polyhedral_active_rows,
 )
-from .linprog import OPTIMAL, UNBOUNDED, eq, ge, le, lp_solve
+from .linprog import OPTIMAL, eq, feasible_point, ge, le, lp_solve
 from .rationals import Q0, Q1, Vec, lincomb, unit, vdot, vscale, zeros
 
 GAP_NECESSARY = "gap-necessary"
@@ -103,7 +103,7 @@ def polytope_vertices(rows, rhs, n: int) -> Tuple[Vec, ...]:
     for g in gens.generators:
         t = g[n]
         if t == 0:
-            # boundedness was established by LPs, so no recession directions
+            # the recession cone was proved {0}, so no recession directions
             raise ConsistencyError("bounded polytope has a recession direction")
         verts.append(tuple(c / t for c in g[:n]))
     return tuple(sorted(set(verts)))
@@ -140,16 +140,26 @@ def enumerate_faces(rows, rhs, n: int) -> Tuple[Face, ...]:
 
 def _bounded_polytope(omega: FeasibleSet, n: int) -> PolyhedralSet:
     """The feasible set as the bounded polytope the gap machinery needs:
-    reduced to rows, and bounded in every coordinate direction (2n LPs)."""
+    reduced to rows {x : A x <= b}, and bounded.
+
+    Boundedness is decided on the recession cone {d : A d <= 0}, by
+    `is_trivial` (a rank test and one boxed LP). Proof. If x is in the set
+    and A d <= 0, then x + t d is in it for every t >= 0, so a nonempty
+    bounded set has recession cone {0}. If the set is unbounded, take x_k
+    in it with |x_k| -> oo; a limit point d of x_k / |x_k| has |d| = 1 and
+    A d = lim A x_k / |x_k| <= lim b / |x_k| = 0. So a nonempty set is
+    bounded iff its recession cone is {0}. An empty set is bounded, so a
+    nonzero recession cone costs one feasibility probe to tell an empty set
+    from an unbounded one. Every caller but `efficient_faces` has checked
+    a point of the set first.
+    """
     reduced = polyhedral_reduction(omega)
     if reduced is None:
         raise CapabilityError("gap machinery needs a polyhedral feasible set")
     rows, rhs = reduced
-    rels = [le(row, b) for row, b in zip(rows, rhs)]
-    for i in range(n):
-        for sign in (1, -1):
-            if lp_solve(unit(n, i, sign), rels).status == UNBOUNDED:
-                raise CapabilityError("gap machinery needs a bounded polytope")
+    if not is_trivial(ConeHRep(n, tuple(rows))) and feasible_point(
+            [le(row, b) for row, b in zip(rows, rhs)], n) is not None:
+        raise CapabilityError("gap machinery needs a bounded polytope")
     return PolyhedralSet(tuple(rows), tuple(rhs))
 
 

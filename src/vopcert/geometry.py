@@ -33,8 +33,8 @@ from .funcs import (
 )
 from .linprog import INFEASIBLE, le, lp_solve, feasible_point
 from .rationals import (
-    Mat, Q0, Q1, Vec, is_zero_vec, lincomb, nullspace_basis, vdot, vneg,
-    zeros,
+    Mat, Q0, Q1, Vec, is_zero_vec, lincomb, matrix_rank, nullspace_basis,
+    vdot, vneg, zeros,
 )
 
 
@@ -59,10 +59,13 @@ def validate_ordering_cone(dim: int, rows: Optional[Mat] = None,
 
     Raises TrivialConeError / NotPointedError / EmptyInteriorError with an
     exact witness when an axiom fails. The cone {d : rows d <= 0} holds a
-    line iff the rows have a nonzero null vector, which is the witness. It
-    has nonempty interior iff rows x <= -1 is feasible, so {0} is told
-    apart from a thin cone only when that LP fails. The negated facet rows
-    generate the positive dual; a V-rep's double description already
+    line iff the rows have a nonzero null vector, which is the witness. A
+    pointed cone is generated by its extreme rays, the V-rep, so it has
+    nonempty interior iff they span R^dim: a rank test, no LP. When they do
+    not, rows x <= -1 is infeasible (it is feasible iff the interior is
+    nonempty, by scaling), and that LP runs only for its Farkas vector, the
+    witness; {0} is told apart from a thin cone there. The negated facet
+    rows generate the positive dual; a V-rep's double description already
     yields them.
     """
     if rows is None and generators is None:
@@ -76,9 +79,12 @@ def validate_ordering_cone(dim: int, rows: Optional[Mat] = None,
     lines = nullspace_basis(hrep.rows, dim)
     if lines:
         raise NotPointedError("ordering cone contains a line", lines[0])
-    # nonempty interior: rows x <= -1 feasible (scaling); Farkas on failure
-    res = lp_solve(zeros(dim), [le(r, Fraction(-1)) for r in hrep.rows])
-    if res.status == INFEASIBLE:
+    if matrix_rank(vrep.generators) < dim:
+        # empty interior: rows x <= -1 is infeasible, its Farkas vector the
+        # witness
+        res = lp_solve(zeros(dim), [le(r, Fraction(-1)) for r in hrep.rows])
+        if res.status != INFEASIBLE:
+            raise ConsistencyError("interior LP feasible on a thin cone")
         if is_trivial(hrep):
             raise TrivialConeError("ordering cone is {0}")
         raise EmptyInteriorError("ordering cone has empty interior", res.farkas)

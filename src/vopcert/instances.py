@@ -85,10 +85,10 @@ def _parse_piece(doc, path: str, n: int):
         h = _mat(doc["h"], f"{path}.h", n)
         if len(h) != n:
             raise _fail(f"{path}.h", f"expected {n} rows")
-        # the gradient h x + a holds only for a symmetric h
-        if any(h[i][j] != h[j][i] for i in range(n) for j in range(i)):
-            raise _fail(f"{path}.h", "expected a symmetric matrix")
-        return QuadPiece(h, a, b)
+        try:
+            return QuadPiece(h, a, b)
+        except ValueError as exc:
+            raise _fail(f"{path}.h", str(exc)) from exc
     return AffinePiece(a, b)
 
 

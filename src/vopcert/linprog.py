@@ -4,11 +4,17 @@ Relations are (coeffs, op, rhs) triples with op in {"<=", ">=", "=="}; they are
 normalized to a pure <= system (equalities become two rows) so that every
 infeasibility certificate has the uniform shape y >= 0, y^T A = 0, y^T b < 0.
 
-The tableau is fraction-free: row i is a list of Python ints over one
-positive int denominator, built straight from the numerators and
-denominators of the input and divided by the gcd of its entries and its
-denominator after every update. Fractions appear only at the interface: in
-the returned point, ray and value, and in the substitution re-checks.
+Each relation is scaled to integers once, at entry: (coeffs, rhs) becomes
+a list of ints over one positive denominator, a >= row is its negation and
+an equality both. The tableau is fraction-free: row i is a list of Python
+ints over one positive int denominator, starting from those scaled rows and
+divided by the gcd of its entries and its denominator after every update.
+The basic point is read as integer numerators over one positive
+denominator and re-checked by substitution on the scaled rows, so a row
+holds iff an integer inequality does. Fractions appear only in the returned
+point, value, dual and ray, and on the rare paths that need the rows
+themselves: the Farkas extraction of an infeasible system and the ray check
+of an unbounded one.
 
 Every OPTIMAL result carries a dual vector y over the normalized <= rows
 (with nonneg, one more entry per sign-constrained variable, as for Farkas
@@ -99,6 +105,26 @@ def normalize_relations(relations: Sequence[Relation], n: int):
     return rows, rhs
 
 
+def _scaled(relations: Sequence[Relation], n: int):
+    """The <= rows of `normalize_relations`, each as integer_row((*row, b)):
+    ints over a positive denominator, the right-hand side last."""
+    scaled = []
+    for coeffs, op, b in relations:
+        if len(coeffs) != n:
+            raise ValueError(f"relation arity {len(coeffs)} != {n}")
+        ints, den = integer_row((*coeffs, b))
+        if op == "<=":
+            scaled.append((ints, den))
+        elif op == ">=":
+            scaled.append(([-v for v in ints], den))
+        elif op in ("==", "="):
+            scaled.append((ints, den))
+            scaled.append(([-v for v in ints], den))
+        else:
+            raise ValueError(f"unknown relation op {op!r}")
+    return scaled
+
+
 def _reduced(nums, den):
     g = gcd(*nums, den)
     if g == 1:
@@ -137,9 +163,10 @@ class _Core:
 
     Row i of the tableau is tab[i] / dens[i], integers over a positive
     denominator; column `basis[i]` of row i holds dens[i] (the value 1).
+    `scaled` holds the <= rows as `_scaled` gives them.
     """
 
-    def __init__(self, rows, rhs, n, nonneg):
+    def __init__(self, scaled, n, nonneg):
         self.n = n
         # structural columns: nonneg vars get one, free vars a +/- pair
         self.colmap: List[Tuple[int, int]] = []
@@ -152,8 +179,7 @@ class _Core:
             if nonneg is None or not nonneg[j]:
                 self.colmap.append((j, -1))
         ns = len(self.colmap)
-        m = len(rows)
-        scaled = [integer_row((*row, b)) for row, b in zip(rows, rhs)]
+        m = len(scaled)
         flipped = [ints[-1] < 0 for ints, _ in scaled]
         # columns: structural, one slack per row, one artificial per flipped
         # row (its slack coefficient is -1 there), then the right-hand side
@@ -304,13 +330,29 @@ class _Core:
                 y[t] = Fraction(mu, den)
         return tuple(y)
 
+    def point(self):
+        """The basic solution as (nums, den): x_j = nums[j] / den, den > 0
+        the lcm of the denominators of the rows whose basic column is
+        structural."""
+        rows = [(i, b) for i, b in enumerate(self.basis) if b < self.ns]
+        den = lcm(*(self.dens[i] for i, _ in rows))
+        nums = [0] * self.n
+        for i, b in rows:
+            j, s = self.colmap[b]
+            nums[j] += s * self.tab[i][-1] * (den // self.dens[i])
+        return nums, den
+
+    def checked_point(self, what: str):
+        """`point`, re-checked by substitution on the scaled rows: ints . x
+        <= rhs over den holds iff ints . nums <= rhs * den."""
+        nums, den = self.point()
+        for ints, _ in self.scaled:
+            if sum(a * v for a, v in zip(ints, nums) if a) > ints[-1] * den:
+                raise LpInternalError(f"{what} failed substitution check")
+        return nums, den
+
     def solution(self) -> Vec:
-        x = [Q0] * self.n
-        for i, b in enumerate(self.basis):
-            if b < self.ns:
-                j, s = self.colmap[b]
-                x[j] += s * Fraction(self.tab[i][-1], self.dens[i])
-        return tuple(x)
+        return _fractions(*self.point())
 
     def ray(self, e: int) -> Vec:
         d = [Q0] * self.n
@@ -322,6 +364,10 @@ class _Core:
                 j, s = self.colmap[b]
                 d[j] += s * Fraction(-self.tab[i][e], self.dens[i])
         return tuple(d)
+
+
+def _fractions(nums, den) -> Vec:
+    return tuple(Fraction(v, den) for v in nums)
 
 
 def _check_farkas(rows, rhs, y) -> bool:
@@ -346,8 +392,7 @@ def _farkas_certificate(rows, rhs) -> Vec:
     for j in range(n):
         alt.append(eq(tuple(rows[i][j] for i in range(m)), Q0))
     alt.append(le(tuple(rhs), Fraction(-1)))
-    alt_rows, alt_rhs = normalize_relations(alt, m)
-    core = _Core(alt_rows, alt_rhs, m, [True] * m)
+    core = _Core(_scaled(alt, m), m, [True] * m)
     if not core.run_phase1():
         raise LpInternalError("alternative system infeasible; Farkas extraction failed")
     y = core.solution()
@@ -364,51 +409,49 @@ def lp_solve(objective: Sequence[Fraction], relations: Sequence[Relation],
     Farkas vector or the ray, and on OPTIMAL the dual vector as well.
     """
     n = len(objective)
-    c = tuple(Fraction(v) for v in objective)
-    rows, rhs = normalize_relations(relations, n)
+    scaled = _scaled(relations, n)
     if n == 0:
-        bad = next((i for i, b in enumerate(rhs) if b < 0), None)
+        bad = next((i for i, (ints, _) in enumerate(scaled) if ints[-1] < 0),
+                   None)
         if bad is None:
-            return LpResult(OPTIMAL, Q0, (), dual=(Q0,) * len(rows))
-        y = tuple(Q1 if i == bad else Q0 for i in range(len(rows)))
+            return LpResult(OPTIMAL, Q0, (), dual=(Q0,) * len(scaled))
+        y = tuple(Q1 if i == bad else Q0 for i in range(len(scaled)))
         return LpResult(INFEASIBLE, farkas=y)
-    core = _Core(rows, rhs, n, nonneg)
+    core = _Core(scaled, n, nonneg)
     if not core.run_phase1():
         # the sign constraints -x_j <= 0 are rows of the system as well
+        rows, rhs = normalize_relations(relations, n)
         signs = [j for j in range(n) if nonneg is not None and nonneg[j]]
         y = _farkas_certificate(rows + [unit(n, j, -1) for j in signs],
                                 rhs + [Q0] * len(signs))
         return LpResult(INFEASIBLE, farkas=y)
-    status, e = core.run_phase2(c)
+    status, e = core.run_phase2(objective)
     if status == UNBOUNDED:
+        rows, _ = normalize_relations(relations, n)
+        c = tuple(Fraction(v) for v in objective)
         d = core.ray(e)
         x0 = core.solution()
         if vdot(c, d) <= 0 or any(vdot(r, d) > 0 for r in rows):
             raise LpInternalError("unbounded ray failed substitution check")
         return LpResult(UNBOUNDED, x=x0, ray=d)
-    x = core.solution()
-    for r, b in zip(rows, rhs):
-        if vdot(r, x) > b:
-            raise LpInternalError("optimal point failed substitution check")
-    value = vdot(c, x)
-    return LpResult(OPTIMAL, value, x, dual=core.dual(value))
+    nums, den = core.checked_point("optimal point")
+    cints, cden = core.c_ints
+    value = Fraction(sum(c * v for c, v in zip(cints, nums) if c), cden * den)
+    return LpResult(OPTIMAL, value, _fractions(nums, den),
+                    dual=core.dual(value))
 
 
 def feasible_point(relations: Sequence[Relation], n: int,
                    nonneg: Optional[Sequence[bool]] = None) -> Optional[Vec]:
     """Phase-1-only feasibility probe; returns a feasible point or None.
 
-    Used by cone triviality sweeps where the Farkas object is not needed;
-    lp_solve remains the path that carries certificates.
+    Used where the Farkas object is not needed; lp_solve remains the path
+    that carries certificates.
     """
-    rows, rhs = normalize_relations(relations, n)
+    scaled = _scaled(relations, n)
     if n == 0:
-        return () if all(b >= 0 for b in rhs) else None
-    core = _Core(rows, rhs, n, nonneg)
+        return () if all(ints[-1] >= 0 for ints, _ in scaled) else None
+    core = _Core(scaled, n, nonneg)
     if not core.run_phase1():
         return None
-    x = core.solution()
-    for r, b in zip(rows, rhs):
-        if vdot(r, x) > b:
-            raise LpInternalError("feasible point failed substitution check")
-    return x
+    return _fractions(*core.checked_point("feasible point"))

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from vopcert.certify import VOPInstance
+from vopcert.certify import VOPInstance, polyhedral_reduction
 from vopcert.cones import (
     DD_DIMENSION_CAP, ConeHRep, ConeVRep, dd_generators_from_halfspaces,
     dd_halfspaces_from_generators, hrep_subset,
@@ -27,8 +27,8 @@ from vopcert.geometry import (
     OrderingCone, PolyhedralSet, g1_cone, g2_cone, validate_ordering_cone,
 )
 from vopcert.linprog import (
-    INFEASIBLE, OPTIMAL, _check_farkas, eq, feasible_point, le, lp_solve,
-    normalize_relations,
+    INFEASIBLE, OPTIMAL, UNBOUNDED, _check_farkas, eq, feasible_point, le,
+    lp_solve, normalize_relations,
 )
 from vopcert.rationals import (
     Mat, Q0, Q1, Vec, dedup_rows, invert, is_zero_vec, lincomb, matrix_rank,
@@ -330,6 +330,23 @@ def sweep_validate_ordering_cone(dim, rows=None, generators=None):
     if any(vdot(sample, v) <= 0 for v in vrep.generators):
         raise ConsistencyError("dual sample not strictly positive on the cone")
     return OrderingCone(dim, hrep, vrep, ConeVRep(dim, dual_gens), sample)
+
+
+def sweep_bounded_polytope(omega, n: int) -> PolyhedralSet:
+    """The boundedness test the gap machinery once ran, kept as a
+    reference: the feasible set reduced to rows, and bounded in every
+    coordinate direction (2n LPs). An empty set makes every LP infeasible,
+    so it passes."""
+    reduced = polyhedral_reduction(omega)
+    if reduced is None:
+        raise CapabilityError("gap machinery needs a polyhedral feasible set")
+    rows, rhs = reduced
+    rels = [le(row, b) for row, b in zip(rows, rhs)]
+    for i in range(n):
+        for sign in (1, -1):
+            if lp_solve(unit(n, i, sign), rels).status == UNBOUNDED:
+                raise CapabilityError("gap machinery needs a bounded polytope")
+    return PolyhedralSet(tuple(rows), tuple(rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ An oracle candidate that a certificate settles builds no Fraction rows, and
 a certificate support of fixed rows is eliminated once, not per candidate.
 Where the zero matrix's supports prove the whole ball, the oracle stops
 after the zero matrix: no pattern or sample is built. Parsing a valid
-ordering cone makes its two double descriptions and one interior LP, and
-no box probe. A cone that is {0} costs certify one LP and no probe, and
-an inclusion solves no LP for an outer row the inner cone lists. Cone rows
-are canonicalized once, by the constructor, and by no kernel that reads them.
+ordering cone makes its two double descriptions and no LP: the interior is
+the rank of the extreme rays. The gap check proves its polytope bounded
+with one triviality LP on the recession cone. A cone that is {0} costs
+certify one LP and no probe, and an inclusion solves no LP for an outer
+row the inner cone lists. Cone rows are canonicalized once, by the
+constructor, and by no kernel that reads them.
 
 Functions are counted wherever a vopcert module binds them: a
 `from .geometry import g1_cone` copies the binding into the importing
@@ -144,6 +146,8 @@ def test_gap_check_builds_the_polytope_once(monkeypatch):
     assert certify(inst, xbar).status == ROBUST_CERTIFIED
     faces = _count(monkeypatch, "gapfn", "enumerate_faces")
     gap_lps = _count(monkeypatch, "linprog", "lp_solve", only_in="gapfn")
+    cone_lps = _count(monkeypatch, "linprog", "lp_solve", only_in="cones")
+    trivial = _count(monkeypatch, "cones", "is_trivial")
     points = _count(monkeypatch, "linprog", "feasible_point")
     # per matrix decided: (feasible_point calls, base point, matrix)
     tried = []
@@ -158,13 +162,14 @@ def test_gap_check_builds_the_polytope_once(monkeypatch):
     monkeypatch.setattr(Domination, "point", spy)
     rep = gap_necessary_check(inst, xbar)
     assert rep.holds is True and "sign pattern 1 of 1" in rep.note
-    # the orthant's dual generators are nonnegative: one sign pattern, so
-    # the 2n boundedness LPs and one gap LP; the witness is then re-checked
-    # by one decision at the base point, and no face is enumerated
-    units = sorted(tuple(s * (i == k) for k in range(2))
-                   for i in range(2) for s in (1, -1))
-    assert sorted(tuple(args[0]) for args in gap_lps[:4]) == units
-    assert len(gap_lps) == 5 and not any(gap_lps[4][0])
+    # boundedness is the triviality of the box's recession cone: one
+    # is_trivial call and its one boxed LP. The orthant's dual generators
+    # are nonnegative: one sign pattern, so one gap LP; the witness is then
+    # re-checked by one decision at the base point, and no face is
+    # enumerated
+    assert [args[0].rows for args in trivial] == [ABS_BOX.feasible.rows]
+    assert len(cone_lps) == 1
+    assert len(gap_lps) == 1 and not any(gap_lps[0][0])
     assert tried == [(0, xbar, rep.witness)] and faces == []
 
 
@@ -312,8 +317,9 @@ def test_radius_estimate_builds_the_domination_problem_once(monkeypatch):
     {"vrep": [[1, 0, 0], [1, 1, 0], [0, 1, 1], [1, 1, 1]]},
 ], ids=["hrep", "vrep"])
 def test_parsing_a_valid_cone_probes_nothing(monkeypatch, cone):
-    # pointedness is the rank of the rows, the interior one LP, and a V-rep
-    # reads its dual generators off the facets its double description gave
+    # pointedness is the rank of the rows, the interior the rank of the
+    # extreme rays, and a V-rep reads its dual generators off the facets
+    # its double description gave
     doc = {"dims": {"n": 1, "p": 3},
            "objectives": [{"kind": "smooth", "pieces": [{"a": [c]}]}
                           for c in (1, -1, 2)],
@@ -325,7 +331,7 @@ def test_parsing_a_valid_cone_probes_nothing(monkeypatch, cone):
         ("linprog", "lp_solve"), ("cones", "_dd"))}
     parse_instance_text(json.dumps(doc))
     assert {name: len(c) for name, c in counts.items()} == {
-        "cone_is_trivial": 0, "feasible_point": 0, "lp_solve": 1, "_dd": 2}
+        "cone_is_trivial": 0, "feasible_point": 0, "lp_solve": 0, "_dd": 2}
 
 
 def _spy_lps(monkeypatch, module, name, lps, points, record):

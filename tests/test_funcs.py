@@ -40,6 +40,18 @@ def test_piece_values_and_gradients():
     assert a.grad(x) == qv(3, -2)
 
 
+def test_asymmetric_quadratic_piece_is_rejected():
+    # h x is the gradient of 1/2 x^T h x only for a symmetric h. Built
+    # through the library, h = [[0, 2], [0, 0]] would make certify refute
+    # f1 = x1 x2 at (1, 0) along (0, 1), where f1 rises
+    with pytest.raises(ValueError, match="symmetric"):
+        qp([[0, 2], [0, 0]], [0, 0])
+    with pytest.raises(ValueError, match="symmetric"):
+        qp([[1, 0]], [0, 0])
+    p = qp([[0, 1], [1, 0]], [0, 0])
+    assert p.grad(qv(1, 0)) == qv(0, 1)
+
+
 def test_max_min_values_and_active_sets():
     assert F1.value(qv(-2)) == 0 and F1.active_indices(qv(-2)) == (0,)
     assert F1.value(qv(3)) == 3 and F1.active_indices(qv(3)) == (1,)

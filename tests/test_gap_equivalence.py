@@ -103,8 +103,9 @@ def test_lp_decision_agrees_with_the_matrix_search(monkeypatch):
             inst, xbar = random_instance(rng, MODES[i % 3])
             lps.clear()
             rep = gap_necessary_check(inst, xbar)
-            # 2n boundedness LPs, then one per sign pattern tried
-            split += len(lps) - 2 * inst.n >= 2
+            # one LP per sign pattern tried; the boundedness LP is solved
+            # in cones, not here
+            split += len(lps) >= 2
             assert rep.exact and rep.holds in (True, False), (seed, i)
             linear = _linear_problem(inst.feasible, inst.cone, xbar)
             xi = searched_matrix(inst.objectives, xbar, linear, seed=seed)
@@ -135,8 +136,8 @@ def test_mixed_sign_column_splits_the_sign_patterns(monkeypatch):
     lps = _gap_lps(monkeypatch)
     rep = gap_necessary_check(inst, xbar)
     assert rep.holds is True and "sign pattern 2 of 2" in rep.note
-    # 4 boundedness LPs, then one per pattern tried
-    assert [r.status for r in lps[4:]] == ["infeasible", OPTIMAL]
+    # one LP per pattern tried
+    assert [r.status for r in lps] == ["infeasible", OPTIMAL]
     assert _lambda(inst, lps[-1])[0] < 0
     monkeypatch.undo()
     assert _rechecked(inst, xbar, rep)
@@ -158,7 +159,7 @@ def test_zero_lambda_component_takes_its_first_vertex(monkeypatch):
     lps = _gap_lps(monkeypatch)
     rep = gap_necessary_check(inst, xbar)
     assert rep.holds is True and "sign pattern 1 of 2" in rep.note
-    assert len(lps) == 5 and _lambda(inst, lps[-1])[0] == 0
+    assert len(lps) == 1 and _lambda(inst, lps[-1])[0] == 0
     monkeypatch.undo()
     assert rep.witness == (qv(1, 0), qv(0, 0))
     assert _rechecked(inst, xbar, rep)

@@ -1,10 +1,12 @@
 """Gap machinery: face enumeration, linear efficiency, the scalarization LP."""
 
+import random
+
 import pytest
 
 from helpers import (
-    Q, af, maxfn, minfn, qv, sampled_scalarizations, smooth,
-    vertex_scalarizations,
+    Q, af, maxfn, minfn, qv, random_box, sampled_scalarizations, smooth,
+    sweep_bounded_polytope, vertex_scalarizations,
 )
 from vopcert.certify import ROBUST_CERTIFIED, VOPInstance, certify
 from vopcert import gapfn
@@ -16,7 +18,8 @@ from vopcert.gapfn import (
     gap_query, polytope_vertices, scalarization_equality, zero_in_gap,
 )
 from vopcert.geometry import PolyhedralSet, validate_ordering_cone
-from vopcert.rationals import vdot
+from vopcert import cones
+from vopcert.rationals import nullspace_basis, vdot, vneg
 
 ORTHANT2 = validate_ordering_cone(2, rows=(qv(-1, 0), qv(0, -1)))
 K_EX = validate_ordering_cone(2, rows=(qv(-1, -1), qv(-1, 0)))
@@ -224,3 +227,95 @@ def test_certified_robust_instance_passes_gap_check():
     assert certify(inst, qv(0)).status == ROBUST_CERTIFIED
     rep = gap_necessary_check(inst, qv(0))
     assert rep.holds is True
+
+
+def _random_point(rng, n):
+    return tuple(Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+
+
+def _through(rng, rows, x0):
+    """rows with right-hand sides that keep x0 in the set, some tight."""
+    return PolyhedralSet(tuple(rows), tuple(vdot(r, x0) + rng.randint(0, 2)
+                                            for r in rows))
+
+
+def _random_row(rng, n):
+    while True:
+        row = qv(*(rng.randint(-3, 3) for _ in range(n)))
+        if any(row):
+            return row
+
+
+def _boundedness_family(rng, n):
+    """Seeded feasible sets in dimension n, each with its kind."""
+    box, _, _ = random_box(rng, n)
+    yield "box", box
+    # a box cut by random rows through an inner point
+    extra = [_random_row(rng, n) for _ in range(rng.randint(1, 3))]
+    yield "cut box", PolyhedralSet(
+        box.rows + tuple(extra),
+        box.rhs + tuple(rng.randint(0, 2) for _ in extra))
+    # a simplex {x >= 0, w . x <= s} moved by a random shift
+    weights = qv(*(rng.randint(1, 3) for _ in range(n)))
+    rows = [qv(*(-(k == j) for k in range(n))) for j in range(n)] + [weights]
+    yield "simplex", _through(rng, rows, _random_point(rng, n))
+    # unbounded along one ray r off the coordinate axes: the rows spanning
+    # r's orthogonal complement in both signs, -r, and rows with a . r < 0;
+    # the recession cone is pos(r) alone
+    while True:
+        ray = qv(*(rng.randint(-2, 2) for _ in range(n)))
+        if sum(1 for c in ray if c) >= 2:
+            break
+    rows = [vneg(ray)]
+    for u in nullspace_basis((ray,), n):
+        rows += [u, vneg(u)]
+    while len(rows) < 2 * n + 2:
+        row = _random_row(rng, n)
+        if vdot(row, ray) < 0:
+            rows.append(row)
+    yield "ray", _through(rng, rows, _random_point(rng, n))
+    # a box with one row dropped: unbounded along a coordinate axis
+    drop = rng.randrange(len(box.rows))
+    yield "open box", PolyhedralSet(box.rows[:drop] + box.rows[drop + 1:],
+                                    box.rhs[:drop] + box.rhs[drop + 1:])
+    # empty sets, with the recession cone {0} and with a nonzero one
+    yield "empty", PolyhedralSet(box.rows + (box.rows[0],),
+                                 box.rhs + (-box.rhs[1] - 1,))
+    yield "empty slab", PolyhedralSet((box.rows[0], box.rows[1]),
+                                      (box.rhs[0], -box.rhs[0] - 1))
+
+
+def test_boundedness_matches_the_sweep_reference(monkeypatch):
+    # the recession-cone test against the 2n coordinate LPs it replaced:
+    # the same verdict and polytope on every kind, and a set with a full
+    # rank of rows proved bounded by exactly one LP, is_trivial's
+    lps, probes = [], []
+    for module, name, calls in ((cones, "lp_solve", lps),
+                                (gapfn, "feasible_point", probes)):
+        original = getattr(module, name)
+
+        def spy(*args, _original=original, _calls=calls):
+            _calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    rng = random.Random(20261022)
+    verdicts = {}
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        for kind, omega in _boundedness_family(rng, n):
+            try:
+                want = sweep_bounded_polytope(omega, n)
+            except CapabilityError as exc:
+                with pytest.raises(CapabilityError, match=str(exc)):
+                    gapfn._bounded_polytope(omega, n)
+                verdicts.setdefault(kind, set()).add(False)
+                continue
+            del lps[:], probes[:]
+            assert gapfn._bounded_polytope(omega, n) == want
+            assert (len(lps), len(probes)) == (
+                (1, 0) if kind != "empty slab" else (0, 1))
+            verdicts.setdefault(kind, set()).add(True)
+    assert verdicts == {"box": {True}, "cut box": {True}, "simplex": {True},
+                        "ray": {False}, "open box": {False}, "empty": {True},
+                        "empty slab": {True}}

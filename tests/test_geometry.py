@@ -16,6 +16,7 @@ from vopcert.errors import (
     ConeValidationError, EmptyInteriorError, InfeasiblePointError, NotPointedError,
     TrivialConeError,
 )
+from vopcert import geometry
 from vopcert.funcs import scalarized_subdiffs
 from vopcert.geometry import (
     ConicBlockSet, DiscretizedSet, OrderingCone, PolyhedralSet,
@@ -102,6 +103,47 @@ def test_validation_matches_the_sweep_reference():
         outcomes.add(OrderingCone)
     assert outcomes == {OrderingCone, NotPointedError, EmptyInteriorError,
                         TrivialConeError}
+
+
+def test_interior_lp_runs_only_for_the_witness(monkeypatch):
+    # the interior is the rank of the extreme rays: a valid or non-pointed
+    # cone solves no LP, and a thin or trivial one solves the rows x <= -1
+    # LP once, for the Farkas witness the sweep reference gives as well
+    lps = []
+    original = geometry.lp_solve
+
+    def spy(*args):
+        lps.append(args)
+        return original(*args)
+
+    rng = random.Random(20261022)
+    seen = set()
+    for _ in range(500):
+        p = rng.randint(2, 4)
+        mat = tuple(qv(*(rng.randint(-2, 2) for _ in range(p)))
+                    for _ in range(rng.randint(1, p + 2)))
+        key = "rows" if rng.random() < Q(1, 2) else "generators"
+        try:
+            sweep_validate_ordering_cone(p, **{key: mat})
+            want = None
+        except ConeValidationError as exc:
+            want = exc
+        monkeypatch.setattr(geometry, "lp_solve", spy)
+        del lps[:]
+        try:
+            validate_ordering_cone(p, **{key: mat})
+            got = None
+        except ConeValidationError as exc:
+            got = exc
+        monkeypatch.undo()
+        assert type(got) is type(want)
+        if isinstance(want, EmptyInteriorError):
+            assert got.witness == want.witness
+        thin = isinstance(want, (EmptyInteriorError, TrivialConeError))
+        assert len(lps) == thin
+        seen.add(type(want))
+    assert seen == {type(None), NotPointedError, EmptyInteriorError,
+                    TrivialConeError}
 
 
 def test_feasible_membership_all_variants():

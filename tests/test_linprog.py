@@ -8,9 +8,12 @@ machinery exists; here the witnesses carry the weight.
 import random
 from fractions import Fraction as Q
 
+import pytest
+
 from helpers import verify_farkas
+from vopcert import linprog
 from vopcert.linprog import (
-    INFEASIBLE, OPTIMAL, UNBOUNDED,
+    INFEASIBLE, OPTIMAL, UNBOUNDED, LpInternalError,
     eq, feasible_point, ge, le, lp_solve, normalize_relations,
 )
 from vopcert.rationals import vdot
@@ -166,3 +169,23 @@ def test_feasible_point_fast_path_matches_lp_solve():
             assert res.status in (OPTIMAL, UNBOUNDED)
             rows, rhs = normalize_relations(rels, n)
             assert all(vdot(r, x) <= b for r, b in zip(rows, rhs))
+
+
+def test_point_off_a_row_fails_the_integer_recheck(monkeypatch):
+    # the basic point is re-checked on the scaled integer rows: a read-out
+    # moved past x <= 3/2 must raise in both entry points, with or
+    # without -O
+    rels = [le((Q(1),), Q(3, 2)), ge((Q(2),), Q(1))]
+    assert lp_solve((Q(1),), rels).x == (Q(3, 2),)
+    assert feasible_point(rels, 1) is not None
+    read = linprog._Core.point
+
+    def moved(core):
+        nums, den = read(core)
+        return [nums[0] + 2 * den], den
+
+    monkeypatch.setattr(linprog._Core, "point", moved)
+    with pytest.raises(LpInternalError, match="optimal point"):
+        lp_solve((Q(1),), rels)
+    with pytest.raises(LpInternalError, match="feasible point"):
+        feasible_point(rels, 1)
