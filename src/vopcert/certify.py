@@ -229,11 +229,11 @@ class PerturbationMatrix:
                         self.den * self.den)
 
     def in_ball(self, r: Fraction) -> bool:
-        # strict: the ball of radius r is open; sum(nums^2) / den^2 < r^2,
-        # decided in integers
+        # strict: the ball of radius r is open, and empty for r <= 0;
+        # sum(nums^2) / den^2 < r^2, decided in integers
         rn, rd = r.numerator, r.denominator
-        return (sum(k * k for row in self.nums for k in row) * rd * rd
-                < rn * rn * self.den * self.den)
+        return rn > 0 and (sum(k * k for row in self.nums for k in row)
+                           * rd * rd < rn * rn * self.den * self.den)
 
     def __eq__(self, other):
         if not isinstance(other, PerturbationMatrix):

@@ -399,23 +399,30 @@ def verify_report(parsed: ParsedInstance, doc: dict) -> List[str]:
 def _verify_oracle_doc(inst: VOPInstance, xbar: Vec, odoc: dict) -> List[str]:
     if not isinstance(odoc, dict):
         return ["oracle: expected an object"]
-    problems: List[str] = []
+    checks = []
     if "certificate" in odoc:
-        problems.extend(_verify_ball_certificate(inst, xbar, odoc))
+        checks.append(_verify_ball_certificate)
     if odoc.get("outcome") == "RefutedWithWitness":
-        problems.extend(_verify_refutation(inst, xbar, odoc))
-    return problems
+        checks.append(_verify_refutation)
+    if not checks:
+        return []
+    try:
+        r = parse_rational(odoc.get("radius"))
+    except RationalParseError as exc:
+        return [f"oracle: {exc}"]
+    if r <= 0:  # the open ball of radius r <= 0 is empty
+        return ["oracle.radius: expected a positive rational"]
+    return [p for check in checks for p in check(inst, xbar, odoc, r)]
 
 
-def _verify_ball_certificate(inst: VOPInstance, xbar: Vec,
-                             odoc: dict) -> List[str]:
+def _verify_ball_certificate(inst: VOPInstance, xbar: Vec, odoc: dict,
+                             r: Fraction) -> List[str]:
     """Derive the ball certificate again from the instance alone (a fresh
     Domination, the zero matrix, `ball_certificate`) and compare: the same
     supports, a claimed radius_sq no larger than the derived one, and the
-    oracle's radius inside the claimed ball."""
+    oracle's radius r inside the claimed ball."""
     cert = odoc["certificate"]
     try:
-        r = parse_rational(odoc.get("radius"))
         if not isinstance(cert, dict):
             raise _fail("oracle.certificate", "expected an object")
         claimed = parse_rational(cert.get("radius_sq"))
@@ -442,10 +449,10 @@ def _verify_ball_certificate(inst: VOPInstance, xbar: Vec,
     return problems
 
 
-def _verify_refutation(inst: VOPInstance, xbar: Vec, odoc: dict) -> List[str]:
+def _verify_refutation(inst: VOPInstance, xbar: Vec, odoc: dict,
+                       r: Fraction) -> List[str]:
     problems: List[str] = []
     try:
-        r = parse_rational(odoc.get("radius"))
         rows = _mat(odoc.get("matrix"), "oracle.matrix", inst.n)
         if len(rows) != inst.p:
             raise _fail("oracle.matrix", f"expected {inst.p} rows, got {len(rows)}")

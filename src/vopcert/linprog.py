@@ -1,27 +1,31 @@
 """Exact simplex over the rationals with Farkas and ray witnesses.
 
-Relations are (coeffs, op, rhs) triples with op in {"<=", ">=", "=="}; they are
-normalized to a pure <= system (equalities become two rows) so that every
-infeasibility certificate has the uniform shape y >= 0, y^T A = 0, y^T b < 0.
+Relations are (coeffs, op, rhs) triples with op in {"<=", ">=", "=="}.
+`_scaled`, the one normalization, scales each to integers once, at entry:
+<= rows (ints, den), ints over one positive denominator with the
+right-hand side last; a >= relation is its negation and an equality both.
+So every infeasibility certificate has the uniform shape y >= 0,
+y^T A = 0, y^T b < 0.
 
-Each relation is scaled to integers once, at entry: (coeffs, rhs) becomes
-a list of ints over one positive denominator, a >= row is its negation and
-an equality both. The tableau is fraction-free: row i is a list of Python
-ints over one positive int denominator, starting from those scaled rows and
-divided by the gcd of its entries and its denominator after every update.
-The basic point is read as integer numerators over one positive
-denominator and re-checked by substitution on the scaled rows, so a row
-holds iff an integer inequality does. Fractions appear only in the returned
-point, value, dual and ray, and on the rare paths that need the rows
-themselves: the Farkas extraction of an infeasible system and the ray check
-of an unbounded one.
+The tableau is fraction-free: row i is a list of Python ints over one
+positive int denominator, starting from those scaled rows and divided by
+the gcd of its entries and its denominator after every update. Every
+witness is solved and checked on the integer rows. A point or a ray is
+read as integer numerators over one positive denominator and re-checked by
+substitution on the scaled rows and on the sign rows -x_j <= 0 of the
+sign-constrained variables, each an integer inequality. A Farkas vector is
+the checked point of the alternative system built on the integer rows:
+that is the Fraction alternative with column i scaled by the denominator
+d_i > 0 of row i, which moves no Bland pivot, so y_i = d_i z_i is exactly
+the Fraction alternative's vector (`_farkas_certificate`). Fractions
+appear only in the returned point, value, dual, Farkas vector and ray.
 
-Every OPTIMAL result carries a dual vector y over the normalized <= rows
-(with nonneg, one more entry per sign-constrained variable, as for Farkas
-vectors). It is read from the phase-2 cost row at the slack columns and
-checked on the integer rows before return: y >= 0, y^T A = c and
-y^T b = value. By weak duality it proves the optimum on its own, and its
-support names the rows that bind.
+Every OPTIMAL result carries a dual vector y over the rows `_scaled` gives,
+in the same order (with nonneg, one more entry per sign-constrained
+variable, as for Farkas vectors). It is read from the phase-2 cost row at
+the slack columns and checked on the integer rows before return: y >= 0,
+y^T A = c and y^T b = value. By weak duality it proves the optimum on its
+own, and its support names the rows that bind.
 
 Pivots follow Bland's rule with a fixed variable order, so identical inputs
 pivot identically and produce bit-identical results. They are the pivots of
@@ -39,7 +43,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .rationals import Q0, Q1, Vec, integer_row, unit, vdot
+from .rationals import Q0, Q1, Vec, integer_row
 
 Relation = Tuple[Sequence[Fraction], str, Fraction]
 
@@ -69,45 +73,23 @@ class LpResult:
     status: str
     value: Optional[Fraction] = None
     x: Optional[Vec] = None
-    # Farkas certificate over the normalized <= rows when infeasible; with
-    # nonneg, one more entry per sign-constrained variable j, in order of j,
-    # for its row -x_j <= 0 (the normalization of ge(e_j, 0))
+    # Farkas certificate over the <= rows `_scaled` gives, in the same
+    # order, when infeasible; with nonneg, one more entry per
+    # sign-constrained variable j, in order of j, for its row -x_j <= 0
     farkas: Optional[Vec] = None
     # improving direction (structural variables) when unbounded
     ray: Optional[Vec] = None
-    # when optimal: multipliers y >= 0 over the normalized <= rows, then the
-    # sign rows as for farkas, with y^T A = objective and y^T b = value
+    # when optimal: multipliers y >= 0 over the rows `_scaled` gives, in the
+    # same order, then the sign rows as for farkas, with y^T A = objective
+    # and y^T b = value
     dual: Optional[Vec] = None
 
 
-def normalize_relations(relations: Sequence[Relation], n: int):
-    """Expand to (rows, rhs) in pure <= form. Row order is deterministic."""
-    rows: List[Vec] = []
-    rhs: List[Fraction] = []
-    for coeffs, op, b in relations:
-        row = tuple(coeffs)
-        if len(row) != n:
-            raise ValueError(f"relation arity {len(row)} != {n}")
-        b = Fraction(b)
-        if op == "<=":
-            rows.append(row)
-            rhs.append(b)
-        elif op == ">=":
-            rows.append(tuple(-c for c in row))
-            rhs.append(-b)
-        elif op in ("==", "="):
-            rows.append(row)
-            rhs.append(b)
-            rows.append(tuple(-c for c in row))
-            rhs.append(-b)
-        else:
-            raise ValueError(f"unknown relation op {op!r}")
-    return rows, rhs
-
-
 def _scaled(relations: Sequence[Relation], n: int):
-    """The <= rows of `normalize_relations`, each as integer_row((*row, b)):
-    ints over a positive denominator, the right-hand side last."""
+    """The system as <= rows (ints, den), ints / den == (*coeffs, rhs) with
+    den > 0 the lcm of the relation's denominators: a <= relation gives its
+    row, a >= relation the negation and an == relation both, the row first.
+    Rows follow the relations in order."""
     scaled = []
     for coeffs, op, b in relations:
         if len(coeffs) != n:
@@ -117,7 +99,7 @@ def _scaled(relations: Sequence[Relation], n: int):
             scaled.append((ints, den))
         elif op == ">=":
             scaled.append(([-v for v in ints], den))
-        elif op in ("==", "="):
+        elif op == "==":
             scaled.append((ints, den))
             scaled.append(([-v for v in ints], den))
         else:
@@ -330,83 +312,82 @@ class _Core:
                 y[t] = Fraction(mu, den)
         return tuple(y)
 
-    def point(self):
-        """The basic solution as (nums, den): x_j = nums[j] / den, den > 0
-        the lcm of the denominators of the rows whose basic column is
-        structural."""
+    def point(self, col: int = -1):
+        """Column col of the rows whose basic column is structural, as
+        (nums, den): entry j is nums[j] / den, den > 0 the lcm of their
+        denominators. Column -1 is the basic point."""
         rows = [(i, b) for i, b in enumerate(self.basis) if b < self.ns]
         den = lcm(*(self.dens[i] for i, _ in rows))
         nums = [0] * self.n
         for i, b in rows:
             j, s = self.colmap[b]
-            nums[j] += s * self.tab[i][-1] * (den // self.dens[i])
+            nums[j] += s * self.tab[i][col] * (den // self.dens[i])
         return nums, den
 
-    def checked_point(self, what: str):
-        """`point`, re-checked by substitution on the scaled rows: ints . x
-        <= rhs over den holds iff ints . nums <= rhs * den."""
-        nums, den = self.point()
-        for ints, _ in self.scaled:
-            if sum(a * v for a, v in zip(ints, nums) if a) > ints[-1] * den:
-                raise LpInternalError(f"{what} failed substitution check")
+    def checked(self, what: str, col: int = -1):
+        """`point(col)`, re-checked by substitution on the scaled rows and
+        the sign rows. For col >= 0 it is the ray of entering column col:
+        the unit column of col minus `point(col)`, which must improve the
+        objective too. Row ints holds iff ints . nums <= ints[-1] * s, with
+        s = den for a point and 0 for a ray; sign row -x_j <= 0 iff
+        nums[j] >= 0."""
+        nums, den = self.point(col)
+        s = den
+        if col >= 0:
+            nums, s = [-v for v in nums], 0
+            if col < self.ns:
+                j, sign = self.colmap[col]
+                nums[j] += sign * den
+        if (any(sum(a * v for a, v in zip(ints, nums) if a) > ints[-1] * s
+                for ints, _ in self.scaled)
+                or any(nums[j] < 0 for j in self.sign_cols)
+                or col >= 0 and sum(c * v for c, v in
+                                    zip(self.c_ints[0], nums)) <= 0):
+            raise LpInternalError(f"{what} failed substitution check")
         return nums, den
-
-    def solution(self) -> Vec:
-        return _fractions(*self.point())
-
-    def ray(self, e: int) -> Vec:
-        d = [Q0] * self.n
-        if e < self.ns:
-            j, s = self.colmap[e]
-            d[j] += s
-        for i, b in enumerate(self.basis):
-            if b < self.ns:
-                j, s = self.colmap[b]
-                d[j] += s * Fraction(-self.tab[i][e], self.dens[i])
-        return tuple(d)
 
 
 def _fractions(nums, den) -> Vec:
     return tuple(Fraction(v, den) for v in nums)
 
 
-def _check_farkas(rows, rhs, y) -> bool:
-    if len(y) != len(rows) or any(v < 0 for v in y):
-        return False
-    n = len(rows[0]) if rows else 0
-    for j in range(n):
-        s = Q0
-        for i, yi in enumerate(y):
-            if yi and rows[i][j]:
-                s += yi * rows[i][j]
-        if s != 0:
-            return False
-    return sum(yi * bi for yi, bi in zip(y, rhs)) < 0
+def _farkas_certificate(scaled, n: int) -> Vec:
+    """Solve the alternative system of the integer rows exactly.
 
+    `scaled` is the system's rows as `_scaled` gives them, the sign rows
+    -x_j <= 0 included. The alternative {z >= 0, sum_i z_i ints_i[:n] = 0,
+    sum_i z_i ints_i[n] <= -1} is built directly as integer rows, and its
+    basic point is re-checked on them; with d_i the denominator of row i,
+    y_i = d_i z_i then satisfies y >= 0, y^T A = 0 and y^T b <= -1 < 0.
 
-def _farkas_certificate(rows, rhs) -> Vec:
-    """Solve the alternative system {y >= 0, y^T A = 0, y^T b <= -1} exactly."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    alt: List[Relation] = []
+    This y is the one the alternative over the Fraction rows gives: ints_i
+    is d_i times Fraction row i, so the system above is that alternative
+    with column i scaled by d_i > 0. Under Bland's rule a positive column
+    scaling moves no pivot: it multiplies the column's reduced cost by d_i,
+    which keeps its sign, and the ratio test scales every entry of the
+    entering column alike, which keeps the argmin and its ties. The basic
+    values are then those of the Fraction alternative over d_i: z = y / d.
+    """
+    m = len(scaled)
+    alt = []
     for j in range(n):
-        alt.append(eq(tuple(rows[i][j] for i in range(m)), Q0))
-    alt.append(le(tuple(rhs), Fraction(-1)))
-    core = _Core(_scaled(alt, m), m, [True] * m)
+        col = [ints[j] for ints, _ in scaled]
+        alt.append(([*col, 0], 1))
+        alt.append(([*(-v for v in col), 0], 1))
+    alt.append(([ints[n] for ints, _ in scaled] + [-1], 1))
+    core = _Core(alt, m, [True] * m)
     if not core.run_phase1():
         raise LpInternalError("alternative system infeasible; Farkas extraction failed")
-    y = core.solution()
-    if not _check_farkas(rows, rhs, y):
-        raise LpInternalError("Farkas certificate failed substitution check")
-    return y
+    nums, den = core.checked("Farkas certificate")
+    return tuple(Fraction(v * d, den) for v, (_, d) in zip(nums, scaled))
 
 
 def lp_solve(objective: Sequence[Fraction], relations: Sequence[Relation],
              nonneg: Optional[Sequence[bool]] = None) -> LpResult:
     """Exact LP solve of max objective . x; minimize by negating the objective.
 
-    Witnesses are re-checked by substitution before return: the point, the
-    Farkas vector or the ray, and on OPTIMAL the dual vector as well.
+    Witnesses are re-checked on the integer rows before return: the point,
+    the Farkas vector or the ray, and on OPTIMAL the dual vector as well.
     """
     n = len(objective)
     scaled = _scaled(relations, n)
@@ -420,21 +401,15 @@ def lp_solve(objective: Sequence[Fraction], relations: Sequence[Relation],
     core = _Core(scaled, n, nonneg)
     if not core.run_phase1():
         # the sign constraints -x_j <= 0 are rows of the system as well
-        rows, rhs = normalize_relations(relations, n)
-        signs = [j for j in range(n) if nonneg is not None and nonneg[j]]
-        y = _farkas_certificate(rows + [unit(n, j, -1) for j in signs],
-                                rhs + [Q0] * len(signs))
+        signs = [([0] * j + [-1] + [0] * (n - j), 1) for j in core.sign_cols]
+        y = _farkas_certificate(scaled + signs, n)
         return LpResult(INFEASIBLE, farkas=y)
     status, e = core.run_phase2(objective)
     if status == UNBOUNDED:
-        rows, _ = normalize_relations(relations, n)
-        c = tuple(Fraction(v) for v in objective)
-        d = core.ray(e)
-        x0 = core.solution()
-        if vdot(c, d) <= 0 or any(vdot(r, d) > 0 for r in rows):
-            raise LpInternalError("unbounded ray failed substitution check")
-        return LpResult(UNBOUNDED, x=x0, ray=d)
-    nums, den = core.checked_point("optimal point")
+        x = _fractions(*core.checked("unbounded point"))
+        d = _fractions(*core.checked("unbounded ray", e))
+        return LpResult(UNBOUNDED, x=x, ray=d)
+    nums, den = core.checked("optimal point")
     cints, cden = core.c_ints
     value = Fraction(sum(c * v for c, v in zip(cints, nums) if c), cden * den)
     return LpResult(OPTIMAL, value, _fractions(nums, den),
@@ -454,4 +429,4 @@ def feasible_point(relations: Sequence[Relation], n: int,
     core = _Core(scaled, n, nonneg)
     if not core.run_phase1():
         return None
-    return _fractions(*core.checked_point("feasible point"))
+    return _fractions(*core.checked("feasible point"))

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from fraction_reference import _check_farkas, normalize_relations
 from vopcert.certify import VOPInstance, polyhedral_reduction
 from vopcert.cones import (
     DD_DIMENSION_CAP, ConeHRep, ConeVRep, dd_generators_from_halfspaces,
@@ -27,8 +28,7 @@ from vopcert.geometry import (
     OrderingCone, PolyhedralSet, g1_cone, g2_cone, validate_ordering_cone,
 )
 from vopcert.linprog import (
-    INFEASIBLE, OPTIMAL, UNBOUNDED, _check_farkas, eq, feasible_point, le,
-    lp_solve, normalize_relations,
+    INFEASIBLE, OPTIMAL, UNBOUNDED, eq, feasible_point, le, lp_solve,
 )
 from vopcert.rationals import (
     Mat, Q0, Q1, Vec, dedup_rows, invert, is_zero_vec, lincomb, matrix_rank,

@@ -286,6 +286,33 @@ def test_verify_report_rederives_the_ball_certificate(tmp_path, capsys,
     assert f"FAIL {message}" in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize("instance, radius, code, bad", [
+    (EX1, "1/10", 1, "-1/10"),
+    (EX1, "1/10", 1, "0"),
+    (ABS_PAIR, "1/1000", 2, "-1/1000"),
+    (ABS_PAIR, "1/1000", 2, "0"),
+], ids=["refutation-negative", "refutation-zero", "certificate-negative",
+        "certificate-zero"])
+def test_verify_report_rejects_a_nonpositive_radius(tmp_path, capsys,
+                                                    instance, radius, code,
+                                                    bad):
+    # the open ball of radius r <= 0 is empty: no matrix lies in it and no
+    # certificate proves anything about it
+    path = _write(tmp_path, instance)
+    assert main(["oracle", path, "--radius", radius, "--json"]) == code
+    odoc = json.loads(capsys.readouterr().out)
+    doc = {"candidate": instance["candidate"], "oracle": odoc}
+    rpath = tmp_path / "report.json"
+    rpath.write_text(json.dumps(doc))
+    assert main(["verify-report", path, str(rpath)]) == 0
+    capsys.readouterr()
+    odoc["radius"] = bad
+    rpath.write_text(json.dumps(doc))
+    assert main(["verify-report", path, str(rpath)]) == 65
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL oracle.radius: expected a positive rational"]
+
+
 def test_verify_report_rejects_a_certificate_the_instance_lacks(tmp_path,
                                                                  capsys):
     # f = (x, -x) is efficient at every shift of the line, but its zero

@@ -10,11 +10,12 @@ from fractions import Fraction as Q
 
 import pytest
 
+from fraction_reference import normalize_relations
 from helpers import verify_farkas
 from vopcert import linprog
 from vopcert.linprog import (
     INFEASIBLE, OPTIMAL, UNBOUNDED, LpInternalError,
-    eq, feasible_point, ge, le, lp_solve, normalize_relations,
+    eq, feasible_point, ge, le, lp_solve,
 )
 from vopcert.rationals import vdot
 
@@ -172,20 +173,88 @@ def test_feasible_point_fast_path_matches_lp_solve():
 
 
 def test_point_off_a_row_fails_the_integer_recheck(monkeypatch):
-    # the basic point is re-checked on the scaled integer rows: a read-out
-    # moved past x <= 3/2 must raise in both entry points, with or
+    # every read-out is re-checked on the scaled integer rows and the sign
+    # rows: one moved off a row must raise in both entry points, with or
     # without -O
     rels = [le((Q(1),), Q(3, 2)), ge((Q(2),), Q(1))]
     assert lp_solve((Q(1),), rels).x == (Q(3, 2),)
     assert feasible_point(rels, 1) is not None
+    # x0 <= 3/2 and x1 >= 1/2, unbounded along x1
+    unbounded = [le((Q(1), Q(0)), Q(3, 2)), ge((Q(0), Q(2)), Q(1))]
+    res = lp_solve((Q(0), Q(1)), unbounded)
+    assert (res.status, res.x, res.ray) == (UNBOUNDED, (Q(0), Q(1, 2)),
+                                            (Q(0), Q(1, 2)))
     read = linprog._Core.point
 
-    def moved(core):
-        nums, den = read(core)
-        return [nums[0] + 2 * den], den
+    def move(shift, ray=False):
+        # shift entry 0 of the basic point, or of a ray's basic column
+        def moved(core, col=-1):
+            nums, den = read(core, col)
+            if (col >= 0) == ray:
+                nums = [nums[0] + shift * den, *nums[1:]]
+            return nums, den
+        monkeypatch.setattr(linprog._Core, "point", moved)
 
-    monkeypatch.setattr(linprog._Core, "point", moved)
+    move(2)
     with pytest.raises(LpInternalError, match="optimal point"):
         lp_solve((Q(1),), rels)
     with pytest.raises(LpInternalError, match="feasible point"):
         feasible_point(rels, 1)
+    with pytest.raises(LpInternalError, match="unbounded point"):
+        lp_solve((Q(0), Q(1)), unbounded)
+    # the alternative of x <= 1/3, x >= 1/2 is solved by z = (2, 3)
+    with pytest.raises(LpInternalError, match="Farkas certificate"):
+        lp_solve((Q(1),), [le((Q(1),), Q(1, 3)), ge((Q(1),), Q(1, 2))])
+    move(-2)
+    # x = -2 is off the sign row of nonneg only
+    with pytest.raises(LpInternalError, match="feasible point"):
+        feasible_point([le((Q(1),), Q(3, 2))], 1, nonneg=[True])
+    move(-2, ray=True)
+    # the ray (2, 1/2) leaves the recession cone of x0 <= 3/2
+    with pytest.raises(LpInternalError, match="unbounded ray"):
+        lp_solve((Q(0), Q(1)), unbounded)
+
+
+def test_farkas_vector_is_rescaled_by_the_row_denominators():
+    # the alternative is solved on the integer rows, z_i = y_i / d_i; the
+    # vectors are those of the Fraction alternative, and z itself would
+    # read (2, 3) on the first system
+    res = lp_solve((Q(1),), [le((Q(1),), Q(1, 3)), ge((Q(1),), Q(1, 2))])
+    assert (res.status, res.farkas) == (INFEASIBLE, (Q(6), Q(6)))
+    res = lp_solve((Q(1),), [le((Q(2, 3),), Q(-1, 5))], nonneg=[True])
+    assert (res.status, res.farkas) == (INFEASIBLE, (Q(5), Q(10, 3)))
+
+
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
+                       "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                       "__neg__")
+
+
+def test_no_fraction_arithmetic_on_any_status(monkeypatch):
+    # Fractions are built only for the returned fields: every status is
+    # solved and checked on the integer rows
+    cases = [
+        ((Q(1), Q(1)), [le((Q(1), Q(2)), Q(4)), le((Q(3), Q(1)), Q(6))],
+         [False, True]),
+        ((Q(1),), [le((Q(1),), Q(1, 3)), ge((Q(1),), Q(1, 2))], None),
+        ((Q(1),), [le((Q(2, 3),), Q(-1, 5))], [True]),
+        ((Q(0), Q(1)), [le((Q(1), Q(0)), Q(3, 2)), ge((Q(0), Q(2)), Q(1))],
+         None),
+    ]
+
+    def solve_all():
+        return [(lp_solve(c, rels, nonneg), feasible_point(rels, len(c), nonneg))
+                for c, rels, nonneg in cases]
+
+    expected = solve_all()
+    assert [res.status for res, _ in expected] == [
+        OPTIMAL, INFEASIBLE, INFEASIBLE, UNBOUNDED]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the LP kernel")
+
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Q, name, refuse)
+    got = solve_all()
+    monkeypatch.undo()
+    assert got == expected

@@ -52,6 +52,15 @@ def test_frobenius_and_ball_membership():
     assert m.in_ball(Q(2, 3)) and not m.in_ball(Q(1, 2))
 
 
+def test_ball_of_nonpositive_radius_is_empty():
+    # ||C||^2 < r^2 holds at -r as at r, but the open ball of radius r <= 0
+    # is empty
+    m = PerturbationMatrix((qv(Q(1, 2), 0), qv(Q(1, 3), Q(-1, 6))))
+    assert m.in_ball(Q(2, 3)) and not m.in_ball(Q(-2, 3))
+    for r in (Q(-1, 10), Q(0)):
+        assert not zero_matrix(2, 2).in_ball(r)
+
+
 def test_structured_patterns_shape_and_order():
     pats = tuple(structured_patterns(2, 1, Q(1, 10)))
     assert len(pats) == 4 + 4  # two cells: 4 singles, one pair with 4 signs
